@@ -20,12 +20,14 @@
 //! | `loader/lru_churn` | an LRU load + eviction cycle under memory pressure |
 //! | `fleet/step` | one shared-SoC fleet scheduling step (3 streams) |
 //! | `fleet/step_adversarial` | the same step over the worst-case fleet: the minimized hunt-corpus scenarios under a scripted fault plan |
+//! | `service/admit` | one refused attach on a loaded node: the full degrade ladder plus shed planning |
 
 use crate::{bench_characterization, bench_engine};
 use shift_core::fleet::{FleetBuilder, FleetConfig, StreamSpec};
 use shift_core::{
-    CandidatePair, ConfidenceGraph, ContextDetector, DynamicModelLoader, GraphConfig, Scheduler,
-    ShiftConfig,
+    AttachRequest, CandidatePair, Characterization, ConfidenceGraph, ContextDetector,
+    DeadlineClass, DynamicModelLoader, FleetService, GraphConfig, Scheduler, ServicePolicy,
+    SessionEvent, SessionRequest, ShiftConfig,
 };
 use shift_metrics::TimingRow;
 use shift_models::ModelId;
@@ -35,7 +37,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// The suite's bench names, in run order. Stable: the CI gate keys on them.
-pub const BENCH_NAMES: [&str; 8] = [
+pub const BENCH_NAMES: [&str; 9] = [
     "confidence_graph/predict",
     "scheduler/argmax",
     "ncc/context_detect",
@@ -44,7 +46,12 @@ pub const BENCH_NAMES: [&str; 8] = [
     "loader/lru_churn",
     "fleet/step",
     "fleet/step_adversarial",
+    "service/admit",
 ];
+
+/// Refused attaches `service/admit` submits before resetting its fixture to
+/// a fresh copy, so the session list the shed planner scans stays short.
+const ADMIT_RESET_EVERY: usize = 64;
 
 /// The stream set and scripted fault plan behind `fleet/step_adversarial`.
 ///
@@ -85,6 +92,53 @@ impl AdversarialFixture {
         let plan = FaultPlan::generate(seed ^ 0xADE5, &FaultSpec::mixed(horizon));
         Self { specs, plan }
     }
+}
+
+/// The node and the request behind `service/admit`: a session service on
+/// the bench engine, loaded with GPU-pinned sessions, and an interactive
+/// GPU-only attach that it must refuse.
+///
+/// A standard session runs at its requested goal, so shedding may not
+/// evict it, and it alone pushes the interactive request past its 50 ms
+/// budget. Three batch sessions asked for more accuracy than any pair
+/// delivers and run degraded, so they are shed candidates. The request
+/// therefore walks all 16 ladder rungs (0.9 down to 0.15), plans one
+/// eviction after another, re-walks the ladder after each, and is refused
+/// with nothing shed: submitting it leaves the node as it was.
+fn admission_fixture(
+    seed: u64,
+    characterization: &Characterization,
+) -> (FleetService, AttachRequest) {
+    let gpu_only =
+        ShiftConfig::paper_defaults().with_allowed_accelerators(vec![AcceleratorId::Gpu]);
+    let mut service = FleetBuilder::new(bench_engine(seed), characterization)
+        .build_service(ServicePolicy::defaults())
+        .expect("admission bench service builds");
+    let load = [
+        (DeadlineClass::Standard, 0.25),
+        (DeadlineClass::Batch, 0.95),
+        (DeadlineClass::Batch, 0.95),
+        (DeadlineClass::Batch, 0.95),
+    ];
+    for (i, (deadline, goal)) in load.into_iter().enumerate() {
+        let event = service.submit(SessionRequest::Attach(AttachRequest::new(
+            format!("load-{i}"),
+            Scenario::scenario_1().with_num_frames(100),
+            gpu_only.clone().with_accuracy_goal(goal),
+            deadline,
+        )));
+        assert!(
+            matches!(event, SessionEvent::Admitted { .. }),
+            "admission bench load session {i} must be admitted: {event:?}"
+        );
+    }
+    let request = AttachRequest::new(
+        "refused",
+        Scenario::scenario_3().with_num_frames(100),
+        gpu_only.with_accuracy_goal(0.9),
+        DeadlineClass::Interactive,
+    );
+    (service, request)
 }
 
 /// Suite sizing.
@@ -295,6 +349,27 @@ pub fn run_suite_with(
         black_box(adversarial.step().expect("adversarial fleet step succeeds"));
     }));
 
+    // service/admit — admission control on a loaded node: every ladder rung
+    // and every planned shed set is projected, then the request is refused.
+    // A refusal changes nothing but the session list, which grows by one
+    // record per call; the fixture is reset before that list gets long.
+    let (template, request) = admission_fixture(seed, &characterization);
+    let mut service = template.clone();
+    let mut submitted = 0usize;
+    rows.push(measure(BENCH_NAMES[8], options, || {
+        if submitted == ADMIT_RESET_EVERY {
+            service = template.clone();
+            submitted = 0;
+        }
+        submitted += 1;
+        let event = service.submit(SessionRequest::Attach(request.clone()));
+        assert!(
+            matches!(event, SessionEvent::Rejected { .. }),
+            "the admission bench request must be refused: {event:?}"
+        );
+        black_box(service.drain_events());
+    }));
+
     rows
 }
 
@@ -340,9 +415,37 @@ mod tests {
         let options = tiny_options();
         let fixture = AdversarialFixture::synthetic(11, options.fleet_frames);
         let rows = run_suite_with(5, &options, &fixture);
-        let row = rows.last().expect("suite is non-empty");
-        assert_eq!(row.name, "fleet/step_adversarial");
+        let row = rows
+            .iter()
+            .find(|row| row.name == "fleet/step_adversarial")
+            .expect("suite runs the adversarial bench");
         assert!(row.ns_per_op > 0.0);
+    }
+
+    #[test]
+    fn admission_fixture_walks_the_ladder_and_sheds_nothing() {
+        let characterization = bench_characterization(60, 5);
+        let (mut service, request) = admission_fixture(5, &characterization);
+        service.drain_events();
+        let builds = service.graph_builds();
+        for _ in 0..3 {
+            let event = service.submit(SessionRequest::Attach(request.clone()));
+            assert!(
+                matches!(
+                    event,
+                    SessionEvent::Rejected {
+                        reason: shift_core::RejectReason::Saturated,
+                        ..
+                    }
+                ),
+                "{event:?}"
+            );
+            assert_eq!(service.drain_events().len(), 1, "no session was shed");
+            assert_eq!(service.active_sessions(), 4);
+        }
+        assert_eq!(service.graph_builds(), builds, "a refusal builds no graph");
+        let degraded = service.sessions().iter().filter(|s| s.degraded()).count();
+        assert_eq!(degraded, 3, "the batch load is degraded, hence sheddable");
     }
 
     #[test]

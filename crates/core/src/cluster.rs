@@ -566,10 +566,13 @@ impl ClusterScheduler {
     fn place(&mut self, index: usize) {
         let id = ClusterSessionId(index as u64 + 1);
         let request = self.ledger[index].request.clone();
+        // Each load walks the whole ledger: compute it once per node, not
+        // once per comparison.
+        let loads: Vec<f64> = (0..self.nodes.len()).map(|i| self.node_load(i)).collect();
         let mut order: Vec<usize> = (0..self.nodes.len()).collect();
         order.sort_by(|&a, &b| {
-            self.node_load(a)
-                .partial_cmp(&self.node_load(b))
+            loads[a]
+                .partial_cmp(&loads[b])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });

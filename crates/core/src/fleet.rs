@@ -405,7 +405,20 @@ impl FleetRuntime {
         characterization: &Characterization,
         spec: StreamSpec,
     ) -> Result<StreamHandle, ShiftError> {
-        let mut agent = StreamAgent::new(characterization, spec.config)?;
+        let agent = StreamAgent::new(characterization, spec.config)?;
+        self.attach_agent(spec.name, &spec.scenario, spec.start_frame, agent)
+    }
+
+    /// [`FleetRuntime::attach_stream`] with a ready agent: the session
+    /// service builds its agents from one shared confidence graph instead of
+    /// one graph per stream.
+    pub(crate) fn attach_agent(
+        &mut self,
+        name: String,
+        scenario: &Scenario,
+        start_frame: usize,
+        mut agent: StreamAgent,
+    ) -> Result<StreamHandle, ShiftError> {
         let initial = agent.current_pair();
         let protected = self.arbiter.pinned_models(initial.accelerator);
         match self
@@ -419,21 +432,17 @@ impl FleetRuntime {
             Err(other) => return Err(other.into()),
         }
         self.arbiter.pin(initial.model, initial.accelerator);
-        let mut stream = spec.scenario.stream();
-        // A resumed stream (live migration) starts mid-scenario: discard the
-        // frames its previous incarnation already played.
-        for _ in 0..spec.start_frame {
-            if stream.next().is_none() {
-                break;
-            }
-        }
-        let next_frame = stream.next().map(Box::new);
-        let total_frames = spec.scenario.num_frames().saturating_sub(spec.start_frame);
+        let mut stream = scenario.stream();
+        // A resumed stream (live migration) starts mid-scenario: skip the
+        // frames its previous incarnation already played, without rendering
+        // them.
+        let next_frame = stream.nth(start_frame).map(Box::new);
+        let total_frames = scenario.num_frames().saturating_sub(start_frame);
         let clock_s = self.makespan_s();
         let index = self.streams.len();
         let has_frame = next_frame.is_some();
         self.streams.push(StreamState {
-            name: spec.name,
+            name,
             agent,
             stream,
             next_frame,

@@ -78,7 +78,7 @@ pub use predictor::{
     prediction_mae, AccuracyPredictor, EnsemblePredictor, PassthroughPredictor, RegressionPredictor,
 };
 pub use runtime::{FrameOutcome, LoadCharge, ResilienceCounters, ShiftRuntime, StreamAgent};
-pub use scheduler::{CandidatePair, Decision, Scheduler};
+pub use scheduler::{CandidatePair, CandidateSet, Decision, Scheduler};
 pub use service::{
     AttachRequest, DeadlineClass, FleetService, RejectReason, ServicePolicy, SessionEvent,
     SessionId, SessionRecord, SessionRequest,

@@ -13,13 +13,14 @@ use crate::config::ShiftConfig;
 use crate::context::ContextDetector;
 use crate::graph::ConfidenceGraph;
 use crate::loader::DynamicModelLoader;
-use crate::scheduler::{CandidatePair, Decision, Scheduler};
+use crate::scheduler::{CandidatePair, CandidateSet, Decision, Scheduler};
 use crate::ShiftError;
 use serde::{Deserialize, Serialize};
 use shift_models::Detection;
 use shift_soc::{ExecutionEngine, FaultInjector, FaultPlan, InferenceReport, SocError};
 use shift_video::Frame;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Everything that happened while processing one frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -147,13 +148,35 @@ impl StreamAgent {
         characterization: &Characterization,
         config: ShiftConfig,
     ) -> Result<Self, ShiftError> {
+        let candidates = Self::candidate_set(characterization, &config)?;
+        let graph = ConfidenceGraph::build(&characterization.samples, config.graph_config());
+        Ok(Self::from_parts(config, candidates, Arc::new(graph)))
+    }
+
+    /// The graph-free half of [`StreamAgent::new`]: the candidate set an
+    /// agent built for `config` would schedule over, with the same errors.
+    pub(crate) fn candidate_set(
+        characterization: &Characterization,
+        config: &ShiftConfig,
+    ) -> Result<CandidateSet, ShiftError> {
         if characterization.is_empty() {
             return Err(ShiftError::EmptyCharacterization);
         }
-        let graph = ConfidenceGraph::build(&characterization.samples, config.graph_config());
-        let scheduler = Scheduler::new(config, characterization, graph)?;
+        CandidateSet::new(config, characterization)
+    }
+
+    /// Assembles an agent from a candidate set derived for `config`'s
+    /// accelerators and knobs and a shared confidence graph built from
+    /// `config.graph_config()`: bit-identical to [`StreamAgent::new`] on the
+    /// same characterization, without rebuilding the graph.
+    pub(crate) fn from_parts(
+        config: ShiftConfig,
+        candidates: CandidateSet,
+        graph: Arc<ConfidenceGraph>,
+    ) -> Self {
+        let scheduler = Scheduler::from_parts(config, candidates, graph);
         let current = scheduler.initial_pair();
-        Ok(Self {
+        Self {
             scheduler,
             detector: ContextDetector::new(),
             current,
@@ -163,7 +186,7 @@ impl StreamAgent {
             pending_load_energy_j: 0.0,
             pairs_used: BTreeSet::new(),
             swap_count: 0,
-        })
+        }
     }
 
     /// The pair currently selected for execution.

@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use shift_models::ModelId;
 use shift_soc::AcceleratorId;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// A schedulable (model, accelerator) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -111,17 +112,21 @@ impl Decision {
     }
 }
 
-/// The SHIFT scheduler: owns the confidence graph, the normalized
-/// energy/latency traits and the per-model momentum buffers.
+/// The graph-free, goal-independent half of a [`Scheduler`]: the candidate
+/// (model, accelerator) pairs, their normalized energy/latency scores, the
+/// arg-max dominance mask and the per-model fallback accuracies.
+///
+/// Everything here is a pure function of the characterization, the allowed
+/// accelerators and the knobs — never of the accuracy goal or the confidence
+/// graph. Admission probes every rung of its degrade ladder against one set,
+/// and [`Scheduler::new`] builds the same set before attaching a graph.
 ///
 /// All per-pair and per-model state lives in dense arrays indexed in lockstep
 /// (`pairs[i]` executes `models[pair_model[i]]` with traits `energy_score[i]`
 /// / `latency_score[i]`), so the per-frame Algorithm 1 pass is a single
 /// allocation-free sweep with no map lookups.
 #[derive(Debug, Clone)]
-pub struct Scheduler {
-    config: ShiftConfig,
-    graph: ConfidenceGraph,
+pub struct CandidateSet {
     pairs: Vec<CandidatePair>,
     /// Models in sorted order; all `*_model` indices point into this.
     models: Vec<ModelId>,
@@ -140,28 +145,19 @@ pub struct Scheduler {
     /// Fallback accuracy per model (characterized mean IoU), used before the
     /// momentum buffer has any graph predictions. Aligned with `models`.
     model_fallback: Vec<f64>,
-    /// Momentum buffers of recent accuracy predictions, aligned with `models`.
-    buffers: Vec<VecDeque<f64>>,
-    /// Scratch: momentum-averaged accuracy per model, aligned with `models`.
-    averaged: Vec<f64>,
-    /// Scratch: accuracy-goal filter result per model, aligned with `models`.
-    valid: Vec<bool>,
-    /// Count of full re-scheduling passes performed.
-    reschedule_count: u64,
 }
 
-impl Scheduler {
-    /// Builds a scheduler from a characterization and a pre-built confidence
-    /// graph.
+impl CandidateSet {
+    /// Derives the candidate set of `config` from a characterization: every
+    /// characterized model on every allowed accelerator it has traits for.
     ///
     /// # Errors
     ///
     /// Returns [`crate::ShiftError::NoCandidatePairs`] when no characterized
     /// model can execute on any allowed accelerator.
     pub fn new(
-        config: ShiftConfig,
+        config: &ShiftConfig,
         characterization: &Characterization,
-        graph: ConfidenceGraph,
     ) -> Result<Self, crate::ShiftError> {
         let mut pairs = Vec::new();
         let mut energy_raw = BTreeMap::new();
@@ -196,11 +192,8 @@ impl Scheduler {
             })
             .collect();
         let pair_dominated =
-            dominated_pairs(&pairs, &pair_model, &energy_score, &latency_score, &config);
-        let n_models = models.len();
+            dominated_pairs(&pairs, &pair_model, &energy_score, &latency_score, config);
         Ok(Self {
-            config,
-            graph,
             pairs,
             models,
             pair_model,
@@ -208,59 +201,18 @@ impl Scheduler {
             latency_score,
             pair_dominated,
             model_fallback,
-            buffers: vec![VecDeque::new(); n_models],
-            averaged: vec![0.0; n_models],
-            valid: vec![false; n_models],
-            reschedule_count: 0,
         })
     }
 
-    /// Index of `model` in the dense `models`/`model_fallback`/`buffers`
-    /// arrays, or `None` for an uncharacterized model.
-    fn model_index(&self, model: ModelId) -> Option<usize> {
-        self.models.binary_search(&model).ok()
-    }
-
-    /// The configuration the scheduler was built with.
-    pub fn config(&self) -> &ShiftConfig {
-        &self.config
-    }
-
     /// The schedulable pairs.
-    pub fn candidate_pairs(&self) -> &[CandidatePair] {
+    pub fn pairs(&self) -> &[CandidatePair] {
         &self.pairs
     }
 
-    /// The confidence graph in use.
-    pub fn graph(&self) -> &ConfidenceGraph {
-        &self.graph
-    }
-
-    /// Number of full re-scheduling passes performed so far.
-    pub fn reschedule_count(&self) -> u64 {
-        self.reschedule_count
-    }
-
-    /// Normalized, inverted energy score of `pair` in `[0, 1]` (1 marks the
-    /// most efficient candidate), or `None` for a pair outside the candidate
-    /// set.
-    pub fn energy_score_of(&self, pair: CandidatePair) -> Option<f64> {
-        let i = self.pairs.iter().position(|&p| p == pair)?;
-        Some(self.energy_score[i])
-    }
-
-    /// Normalized, inverted latency score of `pair` in `[0, 1]` (1 marks the
-    /// fastest candidate), or `None` for a pair outside the candidate set.
-    pub fn latency_score_of(&self, pair: CandidatePair) -> Option<f64> {
-        let i = self.pairs.iter().position(|&p| p == pair)?;
-        Some(self.latency_score[i])
-    }
-
-    /// The characterized reference accuracy (mean IoU) of `model`: the value
-    /// the scheduler falls back to when the confidence graph reaches no
-    /// prediction for the model within the distance threshold.
-    pub fn reference_accuracy(&self, model: ModelId) -> Option<f64> {
-        Some(self.model_fallback[self.model_index(model)?])
+    /// Index of `model` in the dense `models`/`model_fallback` arrays, or
+    /// `None` for an uncharacterized model.
+    fn model_index(&self, model: ModelId) -> Option<usize> {
+        self.models.binary_search(&model).ok()
     }
 
     /// A reasonable initial pair: the most accurate model, placed on its most
@@ -277,6 +229,110 @@ impl Scheduler {
             }
         }
         best.expect("constructor guarantees at least one pair").1
+    }
+}
+
+/// The SHIFT scheduler: a [`CandidateSet`], a shared confidence graph and
+/// the per-model momentum buffers.
+#[derive(Debug, Clone)]
+pub struct Scheduler {
+    config: ShiftConfig,
+    /// Immutable once built, so streams of one node share a single build.
+    graph: Arc<ConfidenceGraph>,
+    candidates: CandidateSet,
+    /// Momentum buffers of recent accuracy predictions, aligned with the
+    /// candidate set's models.
+    buffers: Vec<VecDeque<f64>>,
+    /// Scratch: momentum-averaged accuracy per model.
+    averaged: Vec<f64>,
+    /// Scratch: accuracy-goal filter result per model.
+    valid: Vec<bool>,
+    /// Count of full re-scheduling passes performed.
+    reschedule_count: u64,
+}
+
+impl Scheduler {
+    /// Builds a scheduler from a characterization and a pre-built confidence
+    /// graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::ShiftError::NoCandidatePairs`] when no characterized
+    /// model can execute on any allowed accelerator.
+    pub fn new(
+        config: ShiftConfig,
+        characterization: &Characterization,
+        graph: ConfidenceGraph,
+    ) -> Result<Self, crate::ShiftError> {
+        let candidates = CandidateSet::new(&config, characterization)?;
+        Ok(Self::from_parts(config, candidates, Arc::new(graph)))
+    }
+
+    /// Assembles a scheduler from a candidate set derived for `config`'s
+    /// accelerators and knobs (its accuracy goal may differ) and a shared
+    /// graph built from `config.graph_config()`.
+    pub(crate) fn from_parts(
+        config: ShiftConfig,
+        candidates: CandidateSet,
+        graph: Arc<ConfidenceGraph>,
+    ) -> Self {
+        let n_models = candidates.models.len();
+        Self {
+            config,
+            graph,
+            candidates,
+            buffers: vec![VecDeque::new(); n_models],
+            averaged: vec![0.0; n_models],
+            valid: vec![false; n_models],
+            reschedule_count: 0,
+        }
+    }
+
+    /// The configuration the scheduler was built with.
+    pub fn config(&self) -> &ShiftConfig {
+        &self.config
+    }
+
+    /// The schedulable pairs.
+    pub fn candidate_pairs(&self) -> &[CandidatePair] {
+        self.candidates.pairs()
+    }
+
+    /// The confidence graph in use.
+    pub fn graph(&self) -> &ConfidenceGraph {
+        &self.graph
+    }
+
+    /// Number of full re-scheduling passes performed so far.
+    pub fn reschedule_count(&self) -> u64 {
+        self.reschedule_count
+    }
+
+    /// Normalized, inverted energy score of `pair` in `[0, 1]` (1 marks the
+    /// most efficient candidate), or `None` for a pair outside the candidate
+    /// set.
+    pub fn energy_score_of(&self, pair: CandidatePair) -> Option<f64> {
+        let i = self.candidates.pairs.iter().position(|&p| p == pair)?;
+        Some(self.candidates.energy_score[i])
+    }
+
+    /// Normalized, inverted latency score of `pair` in `[0, 1]` (1 marks the
+    /// fastest candidate), or `None` for a pair outside the candidate set.
+    pub fn latency_score_of(&self, pair: CandidatePair) -> Option<f64> {
+        let i = self.candidates.pairs.iter().position(|&p| p == pair)?;
+        Some(self.candidates.latency_score[i])
+    }
+
+    /// The characterized reference accuracy (mean IoU) of `model`: the value
+    /// the scheduler falls back to when the confidence graph reaches no
+    /// prediction for the model within the distance threshold.
+    pub fn reference_accuracy(&self, model: ModelId) -> Option<f64> {
+        Some(self.candidates.model_fallback[self.candidates.model_index(model)?])
+    }
+
+    /// A reasonable initial pair (see [`CandidateSet::initial_pair`]).
+    pub fn initial_pair(&self) -> CandidatePair {
+        self.candidates.initial_pair()
     }
 
     /// Runs Algorithm 1 for one frame.
@@ -317,6 +373,7 @@ impl Scheduler {
         similarity: f64,
     ) -> Decision {
         self.reschedule_count += 1;
+        let candidates = &self.candidates;
 
         // Line 9: predict accuracies for every model from the current model's
         // confidence via the confidence graph.
@@ -326,7 +383,7 @@ impl Scheduler {
         // (Predictions for uncharacterized models, which the average below
         // would never read, are dropped instead of buffered.)
         for prediction in &predictions {
-            let Some(i) = self.model_index(prediction.model) else {
+            let Some(i) = candidates.model_index(prediction.model) else {
                 continue;
             };
             let buffer = &mut self.buffers[i];
@@ -335,7 +392,7 @@ impl Scheduler {
                 buffer.pop_front();
             }
         }
-        for (i, &fallback) in self.model_fallback.iter().enumerate() {
+        for (i, &fallback) in candidates.model_fallback.iter().enumerate() {
             let buffer = &self.buffers[i];
             self.averaged[i] = if buffer.is_empty() {
                 fallback
@@ -363,22 +420,22 @@ impl Scheduler {
         // same-model pair always scores at least as high (see
         // `dominated_pairs` for why that preserves the arg-max bit-for-bit).
         let knobs = self.config.knobs;
-        let mut scores: Vec<(CandidatePair, f64)> = Vec::with_capacity(self.pairs.len());
+        let mut scores: Vec<(CandidatePair, f64)> = Vec::with_capacity(candidates.pairs.len());
         let mut best: Option<(CandidatePair, f64)> = None;
         let mut current_score: Option<f64> = None;
-        for (i, &pair) in self.pairs.iter().enumerate() {
-            if !self.valid[self.pair_model[i]] {
+        for (i, &pair) in candidates.pairs.iter().enumerate() {
+            if !self.valid[candidates.pair_model[i]] {
                 continue;
             }
-            let accuracy = self.averaged[self.pair_model[i]];
-            let energy = self.energy_score[i];
-            let latency = self.latency_score[i];
+            let accuracy = self.averaged[candidates.pair_model[i]];
+            let energy = candidates.energy_score[i];
+            let latency = candidates.latency_score[i];
             let score = accuracy * knobs.accuracy + energy * knobs.energy + latency * knobs.latency;
             scores.push((pair, score));
             if current_score.is_none() && pair == current {
                 current_score = Some(score);
             }
-            if !self.pair_dominated[i] {
+            if !candidates.pair_dominated[i] {
                 // `>=` mirrors `max_by`, which keeps the *last* of equal
                 // maxima.
                 match best {
@@ -707,19 +764,20 @@ mod tests {
         // picks must never be one of them — that is the whole safety argument.
         let mut scheduler = build_scheduler(ShiftConfig::paper_defaults());
         assert!(
-            scheduler.pair_dominated.iter().any(|&d| d),
+            scheduler.candidates.pair_dominated.iter().any(|&d| d),
             "paper-default traits should admit at least one dominated pair"
         );
         let current = CandidatePair::new(ModelId::YoloV7, AcceleratorId::Gpu);
         for confidence in [0.0, 0.3, 0.6, 0.9] {
             let decision = scheduler.force_reschedule(current, confidence, 0.0);
             let winner = scheduler
+                .candidates
                 .pairs
                 .iter()
                 .position(|&p| p == decision.pair)
                 .expect("decided pair is a candidate");
             assert!(
-                !scheduler.pair_dominated[winner] || decision.pair == current,
+                !scheduler.candidates.pair_dominated[winner] || decision.pair == current,
                 "a dominated pair won the arg-max: {}",
                 decision.pair
             );

@@ -17,8 +17,8 @@
 //! *projection* — pure reads of the shared occupancy tracker, memory
 //! arbiter and offline characterization:
 //!
-//! 1. **Feasibility** — can any (model, accelerator) pair meet the goal at
-//!    all (the same check [`StreamAgent::new`] performs)?
+//! 1. **Feasibility** — does any allowed (model, accelerator) pair exist,
+//!    and does one of them reach the goal on its characterized accuracy?
 //! 2. **Memory** — does the goal's initial pair fit its pool alongside the
 //!    models other sessions have pinned
 //!    ([`MemoryArbiter::pinned_demand_mb`](shift_soc::MemoryArbiter::pinned_demand_mb))?
@@ -26,6 +26,12 @@
 //!    session serializes behind one frame of every active peer on the same
 //!    accelerator; the projected per-frame latency must fit the deadline
 //!    class's budget.
+//!
+//! None of this needs a confidence graph. The request's graph-free
+//! [`CandidateSet`] is derived once and every ladder rung and shed re-probe
+//! reads it. A graph is built only when a session is actually attached, and
+//! then at most once per [`GraphConfig`]: streams share it (see
+//! [`FleetService::graph_builds`]).
 //!
 //! A goal that fails is retried down a degrade ladder
 //! ([`ServicePolicy::degrade_step`] at a time, down to
@@ -53,10 +59,13 @@ use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
 use crate::des::{EventKind, EventQueue};
 use crate::fleet::{FleetBuilder, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec};
+use crate::graph::{ConfidenceGraph, GraphConfig};
 use crate::runtime::StreamAgent;
+use crate::scheduler::CandidateSet;
 use crate::ShiftError;
 use serde::{Deserialize, Serialize};
 use shift_video::Scenario;
+use std::sync::Arc;
 
 /// Opaque identity of one session, minted by the service at attach-request
 /// time (admitted or not) and never reused.
@@ -467,6 +476,9 @@ pub struct FleetService {
     sessions: Vec<SessionState>,
     /// Tick-stamped protocol events, in emission order.
     log: Vec<(u64, SessionEvent)>,
+    /// Confidence graphs built so far, one per distinct graph configuration,
+    /// shared by every stream attached with that configuration.
+    graphs: Vec<(GraphConfig, Arc<ConfidenceGraph>)>,
 }
 
 impl FleetService {
@@ -495,6 +507,7 @@ impl FleetService {
             ops: EventQueue::new(),
             sessions: Vec::new(),
             log: Vec::new(),
+            graphs: Vec::new(),
         };
         for spec in specs {
             service.attach_preadmitted(spec)?;
@@ -509,7 +522,11 @@ impl FleetService {
     fn attach_preadmitted(&mut self, spec: StreamSpec) -> Result<(), ShiftError> {
         let goal = spec.config.accuracy_goal;
         let name = spec.name.clone();
-        let handle = self.fleet.attach_stream(&self.characterization, spec)?;
+        let candidates = StreamAgent::candidate_set(&self.characterization, &spec.config)?;
+        let agent = self.agent_for(spec.config, candidates);
+        let handle = self
+            .fleet
+            .attach_agent(spec.name, &spec.scenario, spec.start_frame, agent)?;
         let id = self.mint_id();
         self.sessions.push(SessionState {
             id,
@@ -535,6 +552,24 @@ impl FleetService {
         Ok(())
     }
 
+    /// An agent for `config` over the service's shared confidence graph for
+    /// `config.graph_config()`, building that graph on first use.
+    fn agent_for(&mut self, config: ShiftConfig, candidates: CandidateSet) -> StreamAgent {
+        let graph_config = config.graph_config();
+        let graph = match self.graphs.iter().find(|(built, _)| *built == graph_config) {
+            Some((_, graph)) => Arc::clone(graph),
+            None => {
+                let graph = Arc::new(ConfidenceGraph::build(
+                    &self.characterization.samples,
+                    graph_config,
+                ));
+                self.graphs.push((graph_config, Arc::clone(&graph)));
+                graph
+            }
+        };
+        StreamAgent::from_parts(config, candidates, graph)
+    }
+
     fn mint_id(&self) -> SessionId {
         SessionId(self.sessions.len() as u64 + 1)
     }
@@ -558,6 +593,14 @@ impl FleetService {
     /// The admission policy.
     pub fn policy(&self) -> &ServicePolicy {
         &self.policy
+    }
+
+    /// Confidence graphs the service has built: one per distinct
+    /// [`GraphConfig`] among the streams it attached, none for admission
+    /// probes or rejected requests. A deterministic work counter, like
+    /// [`FleetRuntime::stream_polls`].
+    pub fn graph_builds(&self) -> usize {
+        self.graphs.len()
     }
 
     /// Sessions currently attached (admitted and not yet detached or shed).
@@ -703,17 +746,21 @@ impl FleetService {
 
     fn process_attach(&mut self, tick: u64, req: AttachRequest) -> SessionEvent {
         let requested_goal = req.config.accuracy_goal;
-        let decision = self.admit(tick, &req);
+        // One graph-free candidate set serves every ladder rung and shed
+        // re-probe; `None` (nothing schedulable) refuses every rung.
+        let candidates = StreamAgent::candidate_set(&self.characterization, &req.config).ok();
+        let decision = self.admit(tick, &req, candidates.as_ref());
         let id = self.mint_id();
         match decision {
             Ok(goal) => {
-                let spec = StreamSpec::new(
+                let candidates = candidates.expect("a passing probe had candidates");
+                let agent = self.agent_for(req.config.with_accuracy_goal(goal), candidates);
+                match self.fleet.attach_agent(
                     req.name.clone(),
-                    req.scenario,
-                    req.config.with_accuracy_goal(goal),
-                )
-                .with_start_frame(req.start_frame);
-                match self.fleet.attach_stream(&self.characterization, spec) {
+                    &req.scenario,
+                    req.start_frame,
+                    agent,
+                ) {
                     Ok(handle) => {
                         self.sessions.push(SessionState {
                             id,
@@ -820,8 +867,13 @@ impl FleetService {
     /// commit it only if the ladder then passes — no session is shed for an
     /// arrival that bounces anyway. Returns the admitted goal or the final
     /// rejection reason.
-    fn admit(&mut self, tick: u64, req: &AttachRequest) -> Result<f64, RejectReason> {
-        match self.probe_ladder(req, &[]) {
+    fn admit(
+        &mut self,
+        tick: u64,
+        req: &AttachRequest,
+        candidates: Option<&CandidateSet>,
+    ) -> Result<f64, RejectReason> {
+        match self.probe_ladder(req, candidates, &[]) {
             Ok(goal) => Ok(goal),
             Err(reason) => {
                 // Shedding cannot help a goal no pair can ever meet.
@@ -837,7 +889,7 @@ impl FleetService {
                         return Err(reason);
                     };
                     planned.push(victim);
-                    if let Ok(goal) = self.probe_ladder(req, &planned) {
+                    if let Ok(goal) = self.probe_ladder(req, candidates, &planned) {
                         for index in planned {
                             self.shed(tick, index);
                         }
@@ -851,7 +903,12 @@ impl FleetService {
     /// Probes the goal ladder from the requested goal down to the floor,
     /// returning the first goal whose projection passes. `excluded` session
     /// indices are treated as already evicted (the planned shed set).
-    fn probe_ladder(&self, req: &AttachRequest, excluded: &[usize]) -> Result<f64, RejectReason> {
+    fn probe_ladder(
+        &self,
+        req: &AttachRequest,
+        candidates: Option<&CandidateSet>,
+        excluded: &[usize],
+    ) -> Result<f64, RejectReason> {
         let requested = req.config.accuracy_goal;
         let floor = self.policy.degrade_floor.min(requested);
         let step = self.policy.degrade_step.max(1e-6);
@@ -862,7 +919,7 @@ impl FleetService {
             if goal < floor - 1e-9 {
                 return Err(blocked);
             }
-            match self.probe_goal(req, goal, excluded) {
+            match self.probe_goal(req, candidates, goal, excluded) {
                 Probe::Pass => return Ok(goal),
                 Probe::NoPairs => {}
                 Probe::Memory => blocked = RejectReason::MemoryExhausted,
@@ -873,19 +930,25 @@ impl FleetService {
     }
 
     /// One ladder rung: pure projection of feasibility, memory and
-    /// occupancy for a session admitted at `goal`, with the `excluded`
-    /// sessions treated as already evicted. Mutates nothing.
-    fn probe_goal(&self, req: &AttachRequest, goal: f64, excluded: &[usize]) -> Probe {
-        let config = req.config.clone().with_accuracy_goal(goal);
-        let Ok(agent) = StreamAgent::new(&self.characterization, config) else {
+    /// occupancy for a session admitted at `goal` over the request's
+    /// `candidates`, with the `excluded` sessions treated as already
+    /// evicted. Mutates nothing and builds no graph: the candidate set and
+    /// its initial pair do not depend on the goal.
+    fn probe_goal(
+        &self,
+        req: &AttachRequest,
+        candidates: Option<&CandidateSet>,
+        goal: f64,
+        excluded: &[usize],
+    ) -> Probe {
+        let Some(candidates) = candidates else {
             return Probe::NoPairs;
         };
         // Deliverability: some allowed pair's characterized accuracy must
         // reach the goal, else this rung has nothing honest to offer and the
         // ladder keeps walking down.
-        let best_iou = agent
-            .scheduler()
-            .candidate_pairs()
+        let best_iou = candidates
+            .pairs()
             .iter()
             .filter_map(|p| self.characterization.traits_of(p.model))
             .map(|t| t.mean_iou)
@@ -893,7 +956,7 @@ impl FleetService {
         if best_iou + 1e-9 < goal {
             return Probe::NoPairs;
         }
-        let pair = agent.current_pair();
+        let pair = candidates.initial_pair();
         let Some(traits) = self.characterization.traits_of(pair.model) else {
             return Probe::NoPairs;
         };

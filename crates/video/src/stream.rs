@@ -106,6 +106,16 @@ impl Iterator for FrameStream {
         Some(frame)
     }
 
+    /// Skips `n` frames without rendering them ([`FrameStream::frame_at`]
+    /// is pure in the index), then renders the next one.
+    fn nth(&mut self, n: usize) -> Option<Frame> {
+        self.next_index = self
+            .next_index
+            .saturating_add(n)
+            .min(self.scenario.num_frames());
+        self.next()
+    }
+
     fn size_hint(&self) -> (usize, Option<usize>) {
         let remaining = self.scenario.num_frames().saturating_sub(self.next_index);
         (remaining, Some(remaining))
@@ -159,6 +169,28 @@ mod tests {
         stream.next();
         assert_eq!(stream.len(), 6);
         assert_eq!(stream.size_hint(), (6, Some(6)));
+    }
+
+    #[test]
+    fn nth_skips_to_frame_at_without_rendering_the_gap() {
+        let scenario = Scenario::scenario_2().with_num_frames(9);
+        let reference = scenario.stream();
+        for n in 0..12 {
+            let mut stream = scenario.stream();
+            assert_eq!(stream.nth(n), reference.frame_at(n), "nth({n})");
+            assert_eq!(
+                stream.next(),
+                reference.frame_at(n + 1),
+                "next after nth({n})"
+            );
+            assert_eq!(stream.len(), 9usize.saturating_sub(n + 2));
+        }
+        // Skipping from mid-stream counts from the current position.
+        let mut stream = scenario.stream();
+        stream.next();
+        assert_eq!(stream.nth(3), reference.frame_at(4));
+        assert_eq!(stream.nth(usize::MAX), None);
+        assert_eq!(stream.next(), None);
     }
 
     #[test]

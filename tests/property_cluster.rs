@@ -16,11 +16,15 @@
 //!    every processed frame is attributed to exactly one session.
 
 use shift_core::cluster::{ClusterBuilder, ClusterPolicy};
-use shift_core::ExecutionMode;
+use shift_core::{
+    AttachRequest, DeadlineClass, ExecutionMode, FleetBuilder, GraphConfig, ServicePolicy,
+    SessionEvent, SessionRequest, ShiftConfig,
+};
 use shift_experiments::cluster::{
     self, class_characterizations, diurnal_trace, node_classes, ClusterOptions, ClusterTraceOp,
 };
 use shift_experiments::ExperimentContext;
+use shift_video::Scenario;
 
 /// Builds a cluster of `size` nodes, replays the diurnal trace into it and
 /// runs it to idle — the same replay `run_size` performs, but keeping the
@@ -154,5 +158,85 @@ fn migration_conserves_sessions_and_frames() {
             attributed, total_frames,
             "frame attribution must conserve across migrations (size {size})"
         );
+    }
+}
+
+#[test]
+fn admission_builds_one_graph_per_node_and_config() {
+    // Admission probes are graph-free, and a node's streams share one
+    // confidence graph per graph configuration, however many sessions attach
+    // or migrate in.
+    let ctx = ExperimentContext::quick(2024);
+    let options = ClusterOptions::smoke();
+    let mut configs: Vec<GraphConfig> = Vec::new();
+    for entry in diurnal_trace(&ctx, &options) {
+        if let ClusterTraceOp::Attach(request) = entry.op {
+            let config = request.config.graph_config();
+            if !configs.contains(&config) {
+                configs.push(config);
+            }
+        }
+    }
+    let (scheduler, _) = replay(&ctx, 4, &options);
+    assert!(!scheduler.migrations().is_empty(), "migrations attach too");
+    let mut attached = 0;
+    for node in 0..scheduler.node_count() {
+        let service = scheduler.node(node);
+        let admitted = service
+            .sessions()
+            .iter()
+            .filter(|s| s.rejected.is_none())
+            .count();
+        attached += admitted;
+        assert!(
+            service.graph_builds() <= configs.len(),
+            "node {node} built {} graphs for {} graph configurations",
+            service.graph_builds(),
+            configs.len()
+        );
+        assert_eq!(
+            service.graph_builds() == 0,
+            admitted == 0,
+            "node {node}: a graph is built exactly when a session attaches"
+        );
+    }
+    assert!(
+        attached > scheduler.node_count(),
+        "some node must attach more than one session for sharing to matter"
+    );
+
+    // A refused attach walks the whole ladder and builds nothing.
+    let engine = ctx.engine();
+    let mut service = FleetBuilder::new(engine, ctx.characterization())
+        .build_service(ServicePolicy::defaults().with_budgets(0.0, 0.0))
+        .expect("service builds");
+    let attach = |goal: f64, deadline: DeadlineClass, config: ShiftConfig| {
+        SessionRequest::Attach(AttachRequest::new(
+            "s",
+            Scenario::scenario_3().with_num_frames(10),
+            config.with_accuracy_goal(goal),
+            deadline,
+        ))
+    };
+    let refused = service.submit(attach(
+        0.9,
+        DeadlineClass::Interactive,
+        ShiftConfig::paper_defaults(),
+    ));
+    assert!(
+        matches!(refused, SessionEvent::Rejected { .. }),
+        "{refused:?}"
+    );
+    assert_eq!(
+        service.graph_builds(),
+        0,
+        "a rejected attach builds no graph"
+    );
+    // Admitted sessions share the graph of their configuration.
+    for (goal, threshold, builds) in [(0.3, 0.5, 1), (0.2, 0.5, 1), (0.3, 0.25, 2)] {
+        let config = ShiftConfig::paper_defaults().with_distance_threshold(threshold);
+        let event = service.submit(attach(goal, DeadlineClass::Batch, config));
+        assert!(matches!(event, SessionEvent::Admitted { .. }), "{event:?}");
+        assert_eq!(service.graph_builds(), builds);
     }
 }

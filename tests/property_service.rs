@@ -16,14 +16,16 @@
 //!
 //! [`FleetService`]: shift_core::FleetService
 
+use proptest::prelude::*;
 use shift_core::{
-    AttachRequest, DeadlineClass, ExecutionMode, FleetBuilder, FleetConfig, RejectReason,
-    ServicePolicy, SessionEvent, SessionRequest, ShiftConfig, StreamAgent,
+    AttachRequest, CandidateSet, DeadlineClass, ExecutionMode, FleetBuilder, FleetConfig, Knobs,
+    RejectReason, ServicePolicy, SessionEvent, SessionRequest, ShiftConfig, StreamAgent,
 };
 use shift_experiments::serve::{self, ServeOptions};
 use shift_experiments::{fleet, ExperimentContext};
 use shift_soc::AcceleratorId;
 use shift_video::Scenario;
+use std::sync::OnceLock;
 
 /// A config pinned to the GPU, so saturation tests reason about one queue.
 fn gpu_only() -> ShiftConfig {
@@ -282,4 +284,62 @@ fn detach_after_transactional_shed_answers_unknown_session() {
         .expect("survivor has a record");
     assert!(!record.shed && record.detached_tick.is_none());
     assert_eq!(record.frames, 30, "the survivor processed every frame");
+}
+
+/// Every accelerator a request may allow, in a fixed order for subset masks.
+const ACCELERATORS: [AcceleratorId; 5] = [
+    AcceleratorId::Cpu,
+    AcceleratorId::Gpu,
+    AcceleratorId::Dla0,
+    AcceleratorId::Dla1,
+    AcceleratorId::OakD,
+];
+
+fn quick_context() -> &'static ExperimentContext {
+    static CONTEXT: OnceLock<ExperimentContext> = OnceLock::new();
+    CONTEXT.get_or_init(|| ExperimentContext::quick(2024))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Admission probes the graph-free candidate set instead of building a
+    /// `StreamAgent` per ladder rung, so the set must be exactly what the
+    /// agent would schedule over: the same pairs in the same order, and the
+    /// same initial pair, for any goal, accelerator subset and knobs. An
+    /// empty subset fails both ways with the same error.
+    #[test]
+    fn graph_free_candidate_set_matches_the_agent(
+        goal in 0.0..1.0f64,
+        mask in 0usize..32,
+        accuracy in 0.0..3.0f64,
+        energy in 0.0..3.0f64,
+        latency in 0.0..3.0f64,
+    ) {
+        let allowed: Vec<AcceleratorId> = ACCELERATORS
+            .iter()
+            .enumerate()
+            .filter(|(bit, _)| mask >> bit & 1 == 1)
+            .map(|(_, &accelerator)| accelerator)
+            .collect();
+        let config = ShiftConfig::paper_defaults()
+            .with_accuracy_goal(goal)
+            .with_allowed_accelerators(allowed)
+            .with_knobs(Knobs::new(accuracy, energy, latency));
+        let characterization = quick_context().characterization();
+        let set = CandidateSet::new(&config, characterization);
+        match (set, StreamAgent::new(characterization, config)) {
+            (Ok(set), Ok(agent)) => {
+                prop_assert_eq!(set.pairs(), agent.scheduler().candidate_pairs());
+                prop_assert_eq!(set.initial_pair(), agent.current_pair());
+            }
+            (Err(set), Err(agent)) => prop_assert_eq!(set, agent),
+            (set, agent) => prop_assert!(
+                false,
+                "candidate set {:?} disagrees with agent {:?}",
+                set.map(|s| s.pairs().len()),
+                agent.map(|a| a.current_pair())
+            ),
+        }
+    }
 }
