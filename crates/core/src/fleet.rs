@@ -26,9 +26,10 @@
 //! knob trades strict fairness (admit the most-behind stream) against
 //! throughput (admit the stream whose accelerator frees up first).
 //!
-//! A fleet of one behaves exactly like [`ShiftRuntime`]: same decisions,
-//! same costs, zero queueing — `ShiftRuntime` is the single-stream special
-//! case the fleet composes.
+//! The fleet's frame lifecycle is the crate's only per-frame path:
+//! [`ShiftRuntime`] *is* a fleet of one, whose caller supplies the frames.
+//! With no peer there is no pin protection and no queueing, so the same
+//! lifecycle reduces to the paper's single-stream loop.
 //!
 //! [`ShiftRuntime`]: crate::runtime::ShiftRuntime
 
@@ -263,7 +264,10 @@ enum FleetEvent {
 struct StreamState {
     name: String,
     agent: StreamAgent,
-    stream: FrameStream,
+    /// The stream's frame source; `None` for a stream its caller feeds
+    /// frame by frame ([`FleetRuntime::process_frame`]), which never enters
+    /// admission.
+    stream: Option<FrameStream>,
     next_frame: Option<Box<Frame>>,
     /// Virtual time at which the stream's next frame is submitted (the
     /// completion time of its previous frame).
@@ -343,8 +347,7 @@ impl FleetRuntime {
     /// # Errors
     ///
     /// Returns [`ShiftError::EmptyFleet`] for an empty spec list, plus the
-    /// per-stream construction errors of
-    /// [`ShiftRuntime::new`](crate::runtime::ShiftRuntime::new).
+    /// per-stream errors of [`FleetRuntime::attach_stream`].
     pub fn new(
         engine: ExecutionEngine,
         characterization: &Characterization,
@@ -397,26 +400,26 @@ impl FleetRuntime {
     ///
     /// # Errors
     ///
-    /// The per-stream construction errors of
-    /// [`ShiftRuntime::new`](crate::runtime::ShiftRuntime::new), plus
-    /// unrecoverable loader failures.
+    /// The construction errors of [`StreamAgent::new`], plus unrecoverable
+    /// loader failures.
     pub fn attach_stream(
         &mut self,
         characterization: &Characterization,
         spec: StreamSpec,
     ) -> Result<StreamHandle, ShiftError> {
         let agent = StreamAgent::new(characterization, spec.config)?;
-        self.attach_agent(spec.name, &spec.scenario, spec.start_frame, agent)
+        self.attach_agent(spec.name, Some((&spec.scenario, spec.start_frame)), agent)
     }
 
     /// [`FleetRuntime::attach_stream`] with a ready agent: the session
     /// service builds its agents from one shared confidence graph instead of
-    /// one graph per stream.
+    /// one graph per stream. `source` is the scenario to play and the frame
+    /// to start at; `None` attaches a stream its caller feeds through
+    /// [`FleetRuntime::process_frame`].
     pub(crate) fn attach_agent(
         &mut self,
         name: String,
-        scenario: &Scenario,
-        start_frame: usize,
+        source: Option<(&Scenario, usize)>,
         mut agent: StreamAgent,
     ) -> Result<StreamHandle, ShiftError> {
         let initial = agent.current_pair();
@@ -432,12 +435,18 @@ impl FleetRuntime {
             Err(other) => return Err(other.into()),
         }
         self.arbiter.pin(initial.model, initial.accelerator);
-        let mut stream = scenario.stream();
-        // A resumed stream (live migration) starts mid-scenario: skip the
-        // frames its previous incarnation already played, without rendering
-        // them.
-        let next_frame = stream.nth(start_frame).map(Box::new);
-        let total_frames = scenario.num_frames().saturating_sub(start_frame);
+        let (stream, next_frame, total_frames) = match source {
+            Some((scenario, start_frame)) => {
+                let mut stream = scenario.stream();
+                // A resumed stream (live migration) starts mid-scenario: skip
+                // the frames its previous incarnation already played, without
+                // rendering them.
+                let next_frame = stream.nth(start_frame).map(Box::new);
+                let total = scenario.num_frames().saturating_sub(start_frame);
+                (Some(stream), next_frame, total)
+            }
+            None => (None, None, 0),
+        };
         let clock_s = self.makespan_s();
         let index = self.streams.len();
         let has_frame = next_frame.is_some();
@@ -779,8 +788,34 @@ impl FleetRuntime {
     fn finish_step(&mut self, index: usize) {
         let state = &mut self.streams[index];
         state.processed += 1;
-        state.next_frame = state.stream.next().map(Box::new);
+        state.next_frame = state.stream.as_mut().and_then(Iterator::next).map(Box::new);
         self.steps += 1;
+    }
+
+    /// Runs a caller-supplied `frame` through the lifecycle of the stream
+    /// behind `handle`, outside admission: the path of a stream attached
+    /// without a frame source. Scripted faults are keyed on `frame.index`,
+    /// not on the fleet's tick.
+    ///
+    /// # Errors
+    ///
+    /// The lifecycle errors of [`FleetRuntime::step`]. As there, a failed
+    /// frame commits no pin move, load charge or fault-frame count.
+    pub(crate) fn process_frame(
+        &mut self,
+        handle: StreamHandle,
+        frame: &Frame,
+    ) -> Result<FleetFrameOutcome, ShiftError> {
+        self.advance_injector(frame.index as u64);
+        let outcome = self.process_stream_frame(handle.0, frame)?;
+        self.streams[handle.0].processed += 1;
+        self.steps += 1;
+        Ok(outcome)
+    }
+
+    /// The agent of the stream behind `handle`.
+    pub(crate) fn agent(&self, handle: StreamHandle) -> &StreamAgent {
+        &self.streams[handle.0].agent
     }
 
     /// Restores an errored frame so the caller can retry the step
@@ -993,9 +1028,7 @@ impl FleetRuntime {
         }
         if fault_active {
             self.streams[index].resilience.fault_frames += 1;
-            if pair != decision.pair
-                && crate::runtime::fault_on_decided_pair(&self.engine, decision.pair)
-            {
+            if pair != decision.pair && fault_on_decided_pair(&self.engine, decision.pair) {
                 self.streams[index].resilience.degraded_frames += 1;
             }
         }
@@ -1140,7 +1173,7 @@ impl FleetRuntime {
         // skipped without touching the pool: `ensure_loaded` would evict
         // every unprotected resident before failing, and no amount of
         // unpinning could help.
-        if !crate::runtime::can_ever_fit(&self.engine, pair) {
+        if !can_ever_fit(&self.engine, pair) {
             return Ok(CandidateOutcome::Skipped);
         }
         if pair == old && self.engine.is_loaded(pair.model, pair.accelerator) {
@@ -1169,10 +1202,39 @@ impl FleetRuntime {
     }
 }
 
-/// One builder for every runtime the crate offers — batch fleets, the
-/// single-stream runtime and the long-running session service — replacing
-/// the `FleetRuntime::new(...)` + `with_fault_plan` + `with_execution_mode`
-/// call chains that used to be hand-assembled at every call site.
+/// Whether the decided pair is unusable because of an injected fault on its
+/// *own* resources — a dropped-out (administratively fenced) accelerator or
+/// a squeezed pool — as opposed to a coincident thermal trip or peer memory
+/// contention, which are not injected-fault exposure. Used to attribute the
+/// resilience counters precisely while another, unrelated fault window
+/// (e.g. a telemetry glitch) is active.
+fn fault_on_decided_pair(engine: &ExecutionEngine, decided: CandidatePair) -> bool {
+    engine.is_administratively_offline(decided.accelerator)
+        || engine.memory_reservation(decided.accelerator) > 0.0
+}
+
+/// Whether `pair`'s model is already resident, or could fit its
+/// accelerator's pool even when empty (accounting for any fault-injected
+/// reservation). Degrade walks check this before `ensure_loaded`, whose
+/// eviction loop would otherwise empty the pool on a doomed candidate
+/// before reporting `OutOfMemory`.
+fn can_ever_fit(engine: &ExecutionEngine, pair: CandidatePair) -> bool {
+    if engine.is_loaded(pair.model, pair.accelerator) {
+        return true;
+    }
+    let Some(spec) = engine.zoo().get(pair.model) else {
+        return false;
+    };
+    engine
+        .pool(pair.accelerator)
+        .map(|pool| pool.can_ever_fit(spec.load.memory_mb))
+        .unwrap_or(false)
+}
+
+/// One builder for batch fleets and the long-running session service,
+/// replacing the `FleetRuntime::new(...)` + `with_fault_plan` +
+/// `with_execution_mode` call chains that used to be hand-assembled at every
+/// call site.
 ///
 /// ```
 /// use shift_core::prelude::*;
@@ -1268,27 +1330,6 @@ impl<'a> FleetBuilder<'a> {
             fleet = fleet.with_fault_plan(plan);
         }
         Ok(fleet.with_execution_mode(self.mode))
-    }
-
-    /// Builds a single-stream [`ShiftRuntime`](crate::runtime::ShiftRuntime)
-    /// sharing the builder's engine, characterization and fault plan — the
-    /// chaos and hunt harnesses' path. Stream specs added to the builder are
-    /// ignored: the single-stream runtime is driven frame-by-frame by its
-    /// caller.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`ShiftRuntime::new`](crate::runtime::ShiftRuntime::new).
-    pub fn build_solo(
-        self,
-        config: ShiftConfig,
-    ) -> Result<crate::runtime::ShiftRuntime, ShiftError> {
-        let runtime =
-            crate::runtime::ShiftRuntime::new(self.engine, self.characterization, config)?;
-        Ok(match self.fault_plan {
-            Some(plan) => runtime.with_fault_plan(plan),
-            None => runtime,
-        })
     }
 }
 

@@ -19,7 +19,8 @@
 //!   memory with least-recently-used eviction (paper §III-C).
 //!
 //! [`runtime::ShiftRuntime`] ties them together into the per-frame loop used
-//! by the evaluation harness.
+//! by the evaluation harness; it is a one-stream [`fleet::FleetRuntime`],
+//! whose frame lifecycle is the crate's only per-frame path.
 //!
 //! ```
 //! use shift_core::prelude::*;

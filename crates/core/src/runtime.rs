@@ -2,22 +2,21 @@
 //! scheduling, dynamic model loading and execution on the simulated SoC.
 //!
 //! The per-stream half of the loop (context detection, scheduling, momentum,
-//! outcome bookkeeping) lives in [`StreamAgent`], so it can be driven either
-//! by [`ShiftRuntime`] — one stream owning one engine — or by
-//! [`FleetRuntime`](crate::fleet::FleetRuntime), which multiplexes many
-//! agents over one shared engine. `ShiftRuntime` is the single-stream
-//! special case.
+//! outcome bookkeeping) lives in [`StreamAgent`]; the engine half (fault
+//! survival, the degrade walk, loading, inference and cost accounting) lives
+//! in [`FleetRuntime`]'s frame lifecycle, the crate's only per-frame path.
+//! [`ShiftRuntime`] is a fleet of one whose caller supplies the frames.
 
 use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
 use crate::context::ContextDetector;
+use crate::fleet::{FleetConfig, FleetRuntime, StreamHandle};
 use crate::graph::ConfidenceGraph;
-use crate::loader::DynamicModelLoader;
 use crate::scheduler::{CandidatePair, CandidateSet, Decision, Scheduler};
 use crate::ShiftError;
 use serde::{Deserialize, Serialize};
 use shift_models::Detection;
-use shift_soc::{ExecutionEngine, FaultInjector, FaultPlan, InferenceReport, SocError};
+use shift_soc::{ExecutionEngine, FaultInjector, FaultPlan, InferenceReport};
 use shift_video::Frame;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -61,35 +60,6 @@ pub struct LoadCharge {
     pub swapped: bool,
 }
 
-/// Whether the decided pair is unusable because of an injected fault on its
-/// *own* resources — a dropped-out (administratively fenced) accelerator or
-/// a squeezed pool — as opposed to a coincident thermal trip or peer memory
-/// contention, which are not injected-fault exposure. Used to attribute the
-/// resilience counters precisely while another, unrelated fault window
-/// (e.g. a telemetry glitch) is active.
-pub(crate) fn fault_on_decided_pair(engine: &ExecutionEngine, decided: CandidatePair) -> bool {
-    engine.is_administratively_offline(decided.accelerator)
-        || engine.memory_reservation(decided.accelerator) > 0.0
-}
-
-/// Whether `pair`'s model is already resident, or could fit its
-/// accelerator's pool even when empty (accounting for any fault-injected
-/// reservation). Degrade walks check this before `ensure_loaded`, whose
-/// eviction loop would otherwise empty the pool on a doomed candidate
-/// before reporting `OutOfMemory`.
-pub(crate) fn can_ever_fit(engine: &ExecutionEngine, pair: CandidatePair) -> bool {
-    if engine.is_loaded(pair.model, pair.accelerator) {
-        return true;
-    }
-    let Some(spec) = engine.zoo().get(pair.model) else {
-        return false;
-    };
-    engine
-        .pool(pair.accelerator)
-        .map(|pool| pool.can_ever_fit(spec.load.memory_mb))
-        .unwrap_or(false)
-}
-
 /// Per-stream counters describing how a run observed and survived injected
 /// platform faults. All zero on a healthy run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -113,13 +83,12 @@ pub struct ResilienceCounters {
 /// The per-stream half of the SHIFT loop: context detection, scheduling and
 /// outcome bookkeeping for **one** video stream, without owning an engine.
 ///
-/// [`ShiftRuntime`] pairs one agent with its own [`ExecutionEngine`];
-/// [`FleetRuntime`](crate::fleet::FleetRuntime) multiplexes many agents over
-/// a single shared engine. A frame flows through an agent in two phases:
-/// [`decide`](Self::decide) produces the scheduling decision, the driver
-/// loads the model and runs inference on whatever engine it manages, and
-/// [`complete`](Self::complete) folds the execution report back into the
-/// agent's state and produces the [`FrameOutcome`].
+/// [`FleetRuntime`] drives one agent per stream over a single shared
+/// [`ExecutionEngine`]; [`ShiftRuntime`] is that fleet with one stream. A
+/// frame flows through an agent in two phases: [`decide`](Self::decide)
+/// produces the scheduling decision, the fleet loads the model and runs
+/// inference, and [`complete`](Self::complete) folds the execution report
+/// back into the agent's state and produces the [`FrameOutcome`].
 #[derive(Debug, Clone)]
 pub struct StreamAgent {
     scheduler: Scheduler,
@@ -302,19 +271,16 @@ impl StreamAgent {
 /// dynamic model loader are initialized, and the initial model is pre-loaded
 /// onto its accelerator (charged to the first frame).
 ///
-/// Internally the runtime is one [`StreamAgent`] bound to its own engine and
-/// loader; [`FleetRuntime`](crate::fleet::FleetRuntime) composes many agents
-/// over one shared engine.
+/// The runtime is a [`FleetRuntime`] holding one stream, fed frame by frame
+/// by its caller: every frame runs the fleet's lifecycle. With no peer to
+/// pin models or queue behind, that lifecycle is exactly the paper's
+/// single-stream loop.
 ///
 /// See the crate-level example for end-to-end usage.
 #[derive(Debug, Clone)]
 pub struct ShiftRuntime {
-    engine: ExecutionEngine,
-    loader: DynamicModelLoader,
-    agent: StreamAgent,
-    /// Optional scripted fault injector, advanced once per frame.
-    injector: Option<FaultInjector>,
-    resilience: ResilienceCounters,
+    fleet: FleetRuntime,
+    stream: StreamHandle,
 }
 
 impl ShiftRuntime {
@@ -325,70 +291,61 @@ impl ShiftRuntime {
     ///
     /// Returns [`ShiftError::EmptyCharacterization`] when the
     /// characterization has no samples and [`ShiftError::NoCandidatePairs`]
-    /// when no model can run on any allowed accelerator.
+    /// when no model can run on any allowed accelerator, plus unrecoverable
+    /// loader failures. An initial pair that cannot fit its pool is not an
+    /// error: as for any fleet attach, its load is deferred to the first
+    /// frame's degrade path.
     pub fn new(
         engine: ExecutionEngine,
         characterization: &Characterization,
         config: ShiftConfig,
     ) -> Result<Self, ShiftError> {
         let agent = StreamAgent::new(characterization, config)?;
-        let mut runtime = Self {
-            engine,
-            loader: DynamicModelLoader::new(),
-            agent,
-            injector: None,
-            resilience: ResilienceCounters::default(),
-        };
-        // Make the initial model resident; its load cost is charged to the
-        // first processed frame.
-        let outcome = runtime
-            .loader
-            .ensure_loaded(&mut runtime.engine, runtime.agent.current_pair())
-            .map_err(ShiftError::from)?;
-        runtime
-            .agent
-            .charge_pending_load(outcome.load_time_s, outcome.load_energy_j);
-        Ok(runtime)
+        let mut fleet = FleetRuntime::empty(engine, FleetConfig::default());
+        let stream = fleet.attach_agent("solo".to_owned(), None, agent)?;
+        Ok(Self { fleet, stream })
     }
 
     /// Attaches a scripted fault plan: the injector is advanced once per
     /// processed frame (keyed on the frame index) and applies every fault
     /// through the engine's degradation surfaces. A zero-fault plan leaves
     /// every outcome bit-identical to a run without one.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.injector = Some(FaultInjector::new(plan));
-        self
+    pub fn with_fault_plan(self, plan: FaultPlan) -> Self {
+        Self {
+            fleet: self.fleet.with_fault_plan(plan),
+            ..self
+        }
     }
 
     /// The fault injector, when a plan is attached.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
+        self.fleet.fault_injector()
     }
 
     /// Counters describing how the run observed and survived injected
     /// faults (all zero on a healthy run).
     pub fn resilience(&self) -> ResilienceCounters {
-        self.resilience
+        self.fleet.stream(self.stream).resilience()
     }
 
     /// The pair currently selected for execution.
     pub fn current_pair(&self) -> CandidatePair {
-        self.agent.current_pair()
+        self.fleet.agent(self.stream).current_pair()
     }
 
     /// The scheduler (for inspection in tests and ablations).
     pub fn scheduler(&self) -> &Scheduler {
-        self.agent.scheduler()
+        self.fleet.agent(self.stream).scheduler()
     }
 
     /// The execution engine (for inspecting telemetry).
     pub fn engine(&self) -> &ExecutionEngine {
-        &self.engine
+        self.fleet.engine()
     }
 
     /// Number of model/accelerator swaps performed so far.
     pub fn swap_count(&self) -> u64 {
-        self.agent.swap_count()
+        self.fleet.agent(self.stream).swap_count()
     }
 
     /// Number of full re-scheduling passes (Algorithm 1 decisions) performed
@@ -396,12 +353,12 @@ impl ShiftRuntime {
     /// do not count, so on a stable scene this stays well below the frame
     /// count while a scene-cut burst drives it up.
     pub fn reschedule_count(&self) -> u64 {
-        self.agent.scheduler().reschedule_count()
+        self.scheduler().reschedule_count()
     }
 
     /// Distinct (model, accelerator) pairs used so far.
     pub fn pairs_used(&self) -> usize {
-        self.agent.pairs_used()
+        self.fleet.agent(self.stream).pairs_used()
     }
 
     /// Processes a single frame: advance any scripted faults, schedule
@@ -413,136 +370,10 @@ impl ShiftRuntime {
     ///
     /// Propagates unrecoverable loading and execution errors from the SoC
     /// simulator (a fault that leaves *no* candidate pair usable surfaces
-    /// the decided pair's error).
+    /// the decided pair's error). A failed frame is not counted as a fault
+    /// frame, and its pending load cost carries over to the next frame.
     pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameOutcome, ShiftError> {
-        // --- Scripted platform faults land at the frame boundary. ---
-        let mut fault_active = false;
-        if let Some(injector) = self.injector.as_mut() {
-            injector.advance(frame.index as u64, &mut self.engine);
-            fault_active = injector.is_fault_active();
-            if fault_active {
-                self.resilience.fault_frames += 1;
-            }
-        }
-
-        // --- Context detection and scheduling. ---
-        let mut decision = self.agent.decide(frame);
-        if !self.engine.is_online(decision.pair.accelerator) && decision.scores.is_empty() {
-            // The similarity gate kept a pair whose accelerator is gone: run
-            // the full Algorithm 1 pass so the load path below has a
-            // complete score ranking to degrade along. When the decision
-            // already carries scores (a natural re-schedule picked the
-            // offline pair), re-running the pass would double-push the same
-            // predictions into the momentum buffers — the existing ranking
-            // is used as-is instead. The counter only attributes the re-plan
-            // to the fault subsystem when the kept pair's own accelerator is
-            // fault-dropped (a thermal trip triggers the same survival path
-            // but is not injected-fault exposure, even while an unrelated
-            // fault window is active).
-            let dropped = fault_active
-                && self
-                    .engine
-                    .is_administratively_offline(decision.pair.accelerator);
-            decision = self.agent.replan(&decision);
-            if dropped {
-                self.resilience.fault_replans += 1;
-            }
-        }
-
-        // --- Dynamic model loading (with fault degradation). ---
-        let current = self.agent.current_pair();
-        let (mut load_time, mut load_energy) = self.agent.take_pending_load();
-        let (pair, charge) = self.acquire_pair(&decision, current)?;
-        if pair != decision.pair
-            && fault_active
-            && fault_on_decided_pair(&self.engine, decision.pair)
-        {
-            self.resilience.degraded_frames += 1;
-        }
-        load_time += charge.time_s;
-        load_energy += charge.energy_j;
-        let swapped = pair != current || charge.swapped;
-
-        // --- Inference. ---
-        let report = self
-            .engine
-            .run_inference(pair.model, pair.accelerator, frame)?;
-
-        // --- Bookkeeping for the next frame. ---
-        let load = LoadCharge {
-            time_s: load_time,
-            energy_j: load_energy,
-            swapped,
-        };
-        Ok(self
-            .agent
-            .complete(frame, pair, &decision, &report, load, 0.0))
-    }
-
-    /// Makes the decided pair — or, when it is offline or memory-blocked,
-    /// the best loadable fallback — resident. Candidates are tried in score
-    /// order, then the incumbent pair. On a healthy platform this reduces
-    /// exactly to "load the decided pair", so healthy runs are bit-identical
-    /// to the pre-fault-injection behaviour.
-    fn acquire_pair(
-        &mut self,
-        decision: &Decision,
-        current: CandidatePair,
-    ) -> Result<(CandidatePair, LoadCharge), ShiftError> {
-        if decision.pair == current
-            && self.engine.is_loaded(current.model, current.accelerator)
-            && self.engine.is_online(current.accelerator)
-        {
-            self.loader.touch(current);
-            return Ok((current, LoadCharge::default()));
-        }
-        if let Some(charge) = self.try_load(decision.pair)? {
-            return Ok((decision.pair, charge));
-        }
-        // The decided pair is unusable: walk the remaining candidates in
-        // score order, then fall back to the incumbent.
-        for pair in decision.fallback_candidates(current) {
-            if let Some(charge) = self.try_load(pair)? {
-                return Ok((pair, charge));
-            }
-        }
-        // Nothing is loadable: surface the decided pair's real error.
-        let outcome = self.loader.ensure_loaded(&mut self.engine, decision.pair)?;
-        Ok((
-            decision.pair,
-            LoadCharge {
-                time_s: outcome.load_time_s,
-                energy_j: outcome.load_energy_j,
-                swapped: outcome.loaded,
-            },
-        ))
-    }
-
-    /// Tries to make one candidate resident; `None` when the candidate is
-    /// unusable right now (offline, incompatible, or memory-blocked).
-    fn try_load(&mut self, pair: CandidatePair) -> Result<Option<LoadCharge>, ShiftError> {
-        if !self.engine.is_online(pair.accelerator) {
-            return Ok(None);
-        }
-        if !can_ever_fit(&self.engine, pair) {
-            // A model that cannot fit the (possibly squeezed) pool even
-            // empty would make `ensure_loaded` evict every resident model
-            // before failing; skip it without touching the pool.
-            return Ok(None);
-        }
-        match self.loader.ensure_loaded(&mut self.engine, pair) {
-            Ok(outcome) => Ok(Some(LoadCharge {
-                time_s: outcome.load_time_s,
-                energy_j: outcome.load_energy_j,
-                swapped: outcome.loaded,
-            })),
-            Err(
-                SocError::OutOfMemory { .. }
-                | SocError::IncompatiblePair { .. }
-                | SocError::AcceleratorOffline(_),
-            ) => Ok(None),
-            Err(other) => Err(other.into()),
-        }
+        Ok(self.fleet.process_frame(self.stream, frame)?.outcome)
     }
 
     /// Runs the runtime over an entire frame stream.

@@ -66,8 +66,8 @@ impl Decision {
     /// unusable (offline or memory-blocked): every scored candidate from
     /// best to worst (ties broken on the pair ordering so the walk is
     /// deterministic), then `incumbent`, with the decided pair and
-    /// duplicates removed. Both the single-stream runtime and the fleet walk
-    /// exactly this order, so their degradation behaviour cannot diverge.
+    /// duplicates removed. The fleet's degrade walk (which the single-stream
+    /// runtime shares as a fleet of one) follows exactly this order.
     ///
     /// Runs on every degrade step of a fault walk, so it makes exactly one
     /// allocation: the returned vector, sorted and deduplicated in place.

@@ -524,9 +524,9 @@ impl FleetService {
         let name = spec.name.clone();
         let candidates = StreamAgent::candidate_set(&self.characterization, &spec.config)?;
         let agent = self.agent_for(spec.config, candidates);
-        let handle = self
-            .fleet
-            .attach_agent(spec.name, &spec.scenario, spec.start_frame, agent)?;
+        let handle =
+            self.fleet
+                .attach_agent(spec.name, Some((&spec.scenario, spec.start_frame)), agent)?;
         let id = self.mint_id();
         self.sessions.push(SessionState {
             id,
@@ -757,8 +757,7 @@ impl FleetService {
                 let agent = self.agent_for(req.config.with_accuracy_goal(goal), candidates);
                 match self.fleet.attach_agent(
                     req.name.clone(),
-                    &req.scenario,
-                    req.start_frame,
+                    Some((&req.scenario, req.start_frame)),
                     agent,
                 ) {
                     Ok(handle) => {

@@ -34,7 +34,7 @@
 use crate::workloads::paper_shift_config;
 use crate::{outcome_to_record, ExperimentContext, ExperimentError};
 use shift_baselines::{MarlinConfig, MarlinRuntime, OracleObjective, OracleRuntime};
-use shift_core::FleetBuilder;
+use shift_core::ShiftRuntime;
 use shift_metrics::{FrameRecord, ResilienceBreakdown, ResilienceRow, Table};
 use shift_soc::{FaultInjector, FaultPlan, FaultSpec, SocError};
 use shift_video::Scenario;
@@ -117,9 +117,9 @@ fn run_method(
 ) -> Result<Vec<FrameRecord>, ExperimentError> {
     match method {
         "SHIFT" => {
-            let mut runtime = FleetBuilder::new(ctx.engine(), ctx.characterization())
-                .fault_plan(plan.clone())
-                .build_solo(paper_shift_config())?;
+            let mut runtime =
+                ShiftRuntime::new(ctx.engine(), ctx.characterization(), paper_shift_config())?
+                    .with_fault_plan(plan.clone());
             let outcomes = runtime.run(scenario.stream())?;
             Ok(outcomes.iter().map(outcome_to_record).collect())
         }

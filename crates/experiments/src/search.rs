@@ -38,7 +38,7 @@ use crate::workloads::paper_shift_config;
 use crate::{outcome_to_record, ExperimentContext, ExperimentError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shift_core::FleetBuilder;
+use shift_core::ShiftRuntime;
 use shift_metrics::{FrameRecord, HuntReport, HuntRow, ResilienceRow, ScenarioRow, Table};
 use shift_soc::{AcceleratorId, FaultPlan, FaultSpec, PowerMode};
 use shift_video::generator::{
@@ -261,9 +261,8 @@ pub fn entry_records(
         ScenarioGenerator::new(entry.scenario_seed).generate(&entry.scenario, entry.replica);
     let plan = FaultPlan::generate(entry.fault_seed, &entry.fault);
     let config = paper_shift_config().with_accuracy_goal(entry.scenario.accuracy_goal);
-    let mut runtime = FleetBuilder::new(ctx.engine(), ctx.characterization())
-        .fault_plan(plan)
-        .build_solo(config)?;
+    let mut runtime =
+        ShiftRuntime::new(ctx.engine(), ctx.characterization(), config)?.with_fault_plan(plan);
     let outcomes = runtime.run(scenario.stream())?;
     Ok(outcomes.iter().map(outcome_to_record).collect())
 }
@@ -1223,6 +1222,7 @@ pub fn corpus_bench_fixture(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shift_core::FleetBuilder;
 
     #[test]
     fn committed_corpus_converts_to_a_buildable_bench_fixture() {

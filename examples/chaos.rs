@@ -10,7 +10,7 @@
 //! cargo run --release --example chaos
 //! ```
 
-use shift_core::{characterize, FleetBuilder, ShiftConfig};
+use shift_core::{characterize, ShiftConfig, ShiftRuntime};
 use shift_models::{ModelZoo, ResponseModel};
 use shift_soc::{ExecutionEngine, FaultPlan, FaultSpec, Platform};
 use shift_video::{CharacterizationDataset, Scenario};
@@ -43,9 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Attach the plan and run. The runtime re-plans when its accelerator
     //    drops out and degrades to the next-best loadable pair under
     //    pressure; faults recover on their scripted edges.
-    let mut runtime = FleetBuilder::new(engine, &characterization)
-        .fault_plan(plan.clone())
-        .build_solo(ShiftConfig::paper_defaults())?;
+    let mut runtime = ShiftRuntime::new(engine, &characterization, ShiftConfig::paper_defaults())?
+        .with_fault_plan(plan.clone());
     let outcomes = runtime.run(scenario.stream())?;
 
     // 4. Show the pair trace around each fault window: the frame before the

@@ -572,3 +572,42 @@ fn shift_keeps_running_when_the_platform_throttles() {
         assert!(thermal.temperature(accelerator) >= 25.0);
     }
 }
+
+#[test]
+fn a_failed_frame_commits_nothing_to_the_next_one() {
+    // Every accelerator drops out on frame 0, so that frame has no usable
+    // pair and must error. A failed frame commits nothing: the initial
+    // model load stays pending for frame 1, and the fault window is not
+    // counted as an exposed frame because no frame ran inside it.
+    let ctx = ExperimentContext::quick(75);
+    let frames: Vec<_> = Scenario::scenario_1().with_num_frames(2).stream().collect();
+    let windows = [
+        AcceleratorId::Gpu,
+        AcceleratorId::Dla0,
+        AcceleratorId::Dla1,
+        AcceleratorId::OakD,
+    ]
+    .map(|accelerator| FaultWindow {
+        kind: FaultKind::Dropout(accelerator),
+        start_frame: 0,
+        end_frame: 1,
+    })
+    .to_vec();
+    let plan = FaultPlan::from_windows(2, windows);
+    let fresh = || {
+        ShiftRuntime::new(ctx.engine(), ctx.characterization(), paper_shift_config())
+            .expect("runtime builds")
+    };
+    let mut runtime = fresh().with_fault_plan(plan);
+    match runtime.process_frame(&frames[0]) {
+        Err(shift_core::ShiftError::Soc(SocError::AcceleratorOffline(_))) => {}
+        other => panic!("frame 0 has no online accelerator, got {other:?}"),
+    }
+    let after_failure = runtime.process_frame(&frames[1]).expect("frame 1 runs");
+    let first_frame = fresh().process_frame(&frames[1]).expect("frame 1 runs");
+    assert_eq!(
+        after_failure, first_frame,
+        "the failed frame must leave the initial load pending for the next one"
+    );
+    assert_eq!(runtime.resilience().fault_frames, 0);
+}
