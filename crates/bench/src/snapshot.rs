@@ -325,6 +325,19 @@ pub fn validate_stress(text: &str) -> Result<StressTimings, SnapshotError> {
     Ok(timings)
 }
 
+/// Narrows the JSON number read for `key` to a `u64`. A negative,
+/// fractional or out-of-range value is a schema error, not an `as` cast that
+/// would read `-1` as 0 and `2.5` as 2.
+fn to_u64(key: &str, value: f64) -> Result<u64, SnapshotError> {
+    if value >= 0.0 && value.fract() == 0.0 && value < u64::MAX as f64 {
+        Ok(value as u64)
+    } else {
+        Err(SnapshotError::Schema(format!(
+            "`{key}` must be a non-negative integer, got {value}"
+        )))
+    }
+}
+
 /// One `BENCH_micro.json` snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
@@ -397,8 +410,8 @@ impl Snapshot {
         let seed = value
             .get("seed")
             .and_then(JsonValue::as_f64)
-            .ok_or_else(|| SnapshotError::Schema("missing numeric `seed`".into()))?
-            as u64;
+            .ok_or_else(|| SnapshotError::Schema("missing numeric `seed`".into()))
+            .and_then(|seed| to_u64("seed", seed))?;
         let benches = value
             .get("benches")
             .and_then(JsonValue::as_array)
@@ -417,8 +430,8 @@ impl Snapshot {
                         .and_then(JsonValue::as_str)
                         .ok_or_else(|| SnapshotError::Schema("bench missing `name`".into()))?,
                     member("ns_per_op")?,
-                    member("samples")? as usize,
-                    member("iters_per_sample")? as u64,
+                    to_u64("samples", member("samples")?)? as usize,
+                    to_u64("iters_per_sample", member("iters_per_sample")?)?,
                 ))
             })
             .collect::<Result<Vec<_>, SnapshotError>>()?;
@@ -524,5 +537,34 @@ mod tests {
             Snapshot::parse(r#"{"mode":"smoke","seed":1,"benches":[{"name":"x"}]}"#),
             Err(SnapshotError::Schema(_))
         ));
+    }
+
+    #[test]
+    fn negative_or_fractional_integer_fields_are_schema_errors() {
+        assert!(matches!(
+            Snapshot::parse(r#"{"mode":"smoke","seed":-1,"benches":[]}"#),
+            Err(SnapshotError::Schema(_))
+        ));
+        assert!(matches!(
+            Snapshot::parse(
+                r#"{"mode":"smoke","seed":1,"benches":[{"name":"x","ns_per_op":1.0,"samples":2.5,"iters_per_sample":1}]}"#
+            ),
+            Err(SnapshotError::Schema(_))
+        ));
+    }
+
+    /// `compare` reports a bench missing from the baseline as `new` and
+    /// passes it, so a suite row without a committed seed would run
+    /// ungated. The mode is not checked: a local `repro -- bench` rewrites
+    /// the file in `full` mode.
+    #[test]
+    fn committed_seed_covers_the_suite() {
+        let seed = Snapshot::parse(include_str!("../../../BENCH_micro.json"))
+            .expect("committed BENCH_micro.json parses");
+        let names: Vec<&str> = seed.benches.iter().map(|row| row.name.as_str()).collect();
+        assert_eq!(names, crate::suite::BENCH_NAMES);
+        for row in &seed.benches {
+            assert!(row.ns_per_op > 0.0, "{} has no seed timing", row.name);
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! The named micro-benchmark suite over SHIFT's hot paths.
 //!
-//! Unlike the Criterion targets under `benches/` (interactive, human-read),
-//! this suite is the machine-facing half of the perf-regression subsystem:
-//! it measures a fixed set of named hot paths and reduces each to one
+//! The suite is the measuring half of the perf-regression subsystem: it
+//! times a fixed set of named hot paths and reduces each to one
 //! [`TimingRow`], which [`snapshot`](crate::snapshot) serializes to
 //! `BENCH_micro.json` and [`compare`](crate::compare) gates in CI.
 //!
@@ -22,17 +21,16 @@
 //! | `fleet/step_adversarial` | the same step over the worst-case fleet: the minimized hunt-corpus scenarios under a scripted fault plan |
 //! | `service/admit` | one refused attach on a loaded node: the full degrade ladder plus shed planning |
 
-use crate::{bench_characterization, bench_engine};
 use shift_core::fleet::{FleetBuilder, FleetConfig, StreamSpec};
 use shift_core::{
-    AttachRequest, CandidatePair, Characterization, ConfidenceGraph, ContextDetector,
+    characterize, AttachRequest, CandidatePair, Characterization, ConfidenceGraph, ContextDetector,
     DeadlineClass, DynamicModelLoader, FleetService, GraphConfig, Scheduler, ServicePolicy,
     SessionEvent, SessionRequest, ShiftConfig,
 };
 use shift_metrics::TimingRow;
-use shift_models::ModelId;
-use shift_soc::{AcceleratorId, FaultPlan, FaultSpec};
-use shift_video::Scenario;
+use shift_models::{ModelId, ModelZoo, ResponseModel};
+use shift_soc::{AcceleratorId, ExecutionEngine, FaultPlan, FaultSpec, Platform};
+use shift_video::{CharacterizationDataset, Scenario};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -92,6 +90,22 @@ impl AdversarialFixture {
         let plan = FaultPlan::generate(seed ^ 0xADE5, &FaultSpec::mixed(horizon));
         Self { specs, plan }
     }
+}
+
+/// The engine every bench runs on: the Xavier NX + OAK-D platform with the
+/// standard model zoo.
+fn bench_engine(seed: u64) -> ExecutionEngine {
+    ExecutionEngine::new(
+        Platform::xavier_nx_with_oak(),
+        ModelZoo::standard(),
+        ResponseModel::new(seed),
+    )
+}
+
+/// A characterization of `samples` validation images on [`bench_engine`].
+fn bench_characterization(samples: usize, seed: u64) -> Characterization {
+    let engine = bench_engine(seed);
+    characterize(&engine, &CharacterizationDataset::generate(samples, seed))
 }
 
 /// The node and the request behind `service/admit`: a session service on
@@ -384,6 +398,14 @@ mod tests {
             characterization_samples: 60,
             fleet_frames: 40,
         }
+    }
+
+    #[test]
+    fn fixtures_build() {
+        let engine = bench_engine(1);
+        assert_eq!(engine.zoo().len(), 8);
+        let characterization = bench_characterization(40, 1);
+        assert_eq!(characterization.sample_count(), 40);
     }
 
     #[test]

@@ -213,14 +213,6 @@ impl Scenario {
         self.seed
     }
 
-    /// Returns a copy of the scenario with a different frame resolution.
-    pub fn with_frame_size(mut self, width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0, "frame size must be non-zero");
-        self.frame_width = width;
-        self.frame_height = height;
-        self
-    }
-
     /// Returns a copy with a different number of frames (used by tests and
     /// quick examples to shorten runs).
     pub fn with_num_frames(mut self, num_frames: usize) -> Self {
