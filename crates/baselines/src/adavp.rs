@@ -12,6 +12,7 @@
 //! accuracy, more steeply for small objects (the far-away drone frames).
 
 use crate::tracker::{NccTracker, TRACKER_LATENCY_S, TRACKER_POWER_W};
+use crate::Baseline;
 use serde::{Deserialize, Serialize};
 use shift_metrics::FrameRecord;
 use shift_models::ModelId;
@@ -124,15 +125,21 @@ impl AdaVpRuntime {
     pub fn skip_count(&self) -> u64 {
         self.skip_count
     }
+}
+
+impl Baseline for AdaVpRuntime {
+    fn engine_mut(&mut self) -> &mut ExecutionEngine {
+        &mut self.engine
+    }
+
+    fn home_pair(&self) -> (ModelId, AcceleratorId) {
+        (self.config.model, self.config.accelerator)
+    }
 
     /// Processes one frame: skip it if the tracker is confident, otherwise
     /// run the DNN at the current input scale and adapt the scale from the
     /// resulting confidence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors from the SoC simulator.
-    pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
+    fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
         let load_time = std::mem::take(&mut self.pending_load_time_s);
         let load_energy = std::mem::take(&mut self.pending_load_energy_j);
 
@@ -199,22 +206,6 @@ impl AdaVpRuntime {
             false,
         ))
     }
-
-    /// Runs AdaVP over a full frame stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution error.
-    pub fn run<I>(&mut self, frames: I) -> Result<Vec<FrameRecord>, SocError>
-    where
-        I: IntoIterator<Item = Frame>,
-    {
-        let mut records = Vec::new();
-        for frame in frames {
-            records.push(self.process_frame(&frame)?);
-        }
-        Ok(records)
-    }
 }
 
 #[cfg(test)]
@@ -245,10 +236,10 @@ mod tests {
     fn adavp_saves_energy_vs_single_model() {
         let scenario = Scenario::scenario_3().with_num_frames(150);
         let mut adavp = AdaVpRuntime::new(engine(), AdaVpConfig::standard()).unwrap();
-        let adavp_records = adavp.run(scenario.clone().stream()).unwrap();
+        let adavp_records = adavp.run(scenario.clone().stream(), None).unwrap();
         let mut single =
             SingleModelRuntime::new(engine(), ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
-        let single_records = single.run(scenario.stream()).unwrap();
+        let single_records = single.run(scenario.stream(), None).unwrap();
         let a: f64 = adavp_records.iter().map(|r| r.energy_j).sum();
         let s: f64 = single_records.iter().map(|r| r.energy_j).sum();
         assert!(
@@ -262,7 +253,7 @@ mod tests {
         let mut adavp = AdaVpRuntime::new(engine(), AdaVpConfig::standard()).unwrap();
         assert_eq!(adavp.current_scale(), 1.0);
         let _ = adavp
-            .run(Scenario::scenario_3().with_num_frames(60).stream())
+            .run(Scenario::scenario_3().with_num_frames(60).stream(), None)
             .unwrap();
         assert!(
             adavp.current_scale() < 1.0,
@@ -274,7 +265,7 @@ mod tests {
     fn skipping_happens_on_stable_scenes() {
         let mut adavp = AdaVpRuntime::new(engine(), AdaVpConfig::standard()).unwrap();
         let records = adavp
-            .run(Scenario::scenario_3().with_num_frames(120).stream())
+            .run(Scenario::scenario_3().with_num_frames(120).stream(), None)
             .unwrap();
         assert_eq!(records.len(), 120);
         assert!(adavp.skip_count() > 0, "stable scene should allow skips");
@@ -289,7 +280,7 @@ mod tests {
     fn stays_on_a_single_pair() {
         let mut adavp = AdaVpRuntime::new(engine(), AdaVpConfig::standard()).unwrap();
         let records = adavp
-            .run(Scenario::scenario_1().with_num_frames(100).stream())
+            .run(Scenario::scenario_1().with_num_frames(100).stream(), None)
             .unwrap();
         assert!(records.iter().all(|r| r.model == ModelId::YoloV7));
         assert!(records.iter().all(|r| r.accelerator == AcceleratorId::Gpu));
@@ -301,13 +292,13 @@ mod tests {
         let mut adavp = AdaVpRuntime::new(engine(), AdaVpConfig::standard()).unwrap();
         // Start on the easy scenario to walk the scale down…
         let _ = adavp
-            .run(Scenario::scenario_3().with_num_frames(60).stream())
+            .run(Scenario::scenario_3().with_num_frames(60).stream(), None)
             .unwrap();
         let shrunk = adavp.current_scale();
         // …then hit the hardest scenario; confidence collapses and the scale
         // must recover towards full resolution.
         let _ = adavp
-            .run(Scenario::scenario_5().with_num_frames(200).stream())
+            .run(Scenario::scenario_5().with_num_frames(200).stream(), None)
             .unwrap();
         assert!(
             adavp.current_scale() >= shrunk,

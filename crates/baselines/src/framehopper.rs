@@ -11,6 +11,7 @@
 //! SHIFT scheduler uses for its context gate, so the two systems observe the
 //! same signal and differ only in what they do with it.
 
+use crate::Baseline;
 use serde::{Deserialize, Serialize};
 use shift_metrics::FrameRecord;
 use shift_models::ModelId;
@@ -125,14 +126,20 @@ impl FrameHopperRuntime {
         let similarity = frame_similarity(&last.image, last_bbox, &frame.image, last_bbox);
         similarity >= self.config.skip_similarity_threshold
     }
+}
+
+impl Baseline for FrameHopperRuntime {
+    fn engine_mut(&mut self) -> &mut ExecutionEngine {
+        &mut self.engine
+    }
+
+    fn home_pair(&self) -> (ModelId, AcceleratorId) {
+        (self.config.model, self.config.accelerator)
+    }
 
     /// Processes one frame: skip it when consecutive frames are similar
     /// enough, otherwise run the DNN.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors from the SoC simulator.
-    pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
+    fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
         let load_time = std::mem::take(&mut self.pending_load_time_s);
         let load_energy = std::mem::take(&mut self.pending_load_energy_j);
 
@@ -173,22 +180,6 @@ impl FrameHopperRuntime {
             false,
         ))
     }
-
-    /// Runs FrameHopper over a full frame stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution error.
-    pub fn run<I>(&mut self, frames: I) -> Result<Vec<FrameRecord>, SocError>
-    where
-        I: IntoIterator<Item = Frame>,
-    {
-        let mut records = Vec::new();
-        for frame in frames {
-            records.push(self.process_frame(&frame)?);
-        }
-        Ok(records)
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +202,7 @@ mod tests {
     fn skips_frames_on_a_stable_scene() {
         let mut hopper = FrameHopperRuntime::new(engine(), FrameHopperConfig::standard()).unwrap();
         let records = hopper
-            .run(Scenario::scenario_3().with_num_frames(120).stream())
+            .run(Scenario::scenario_3().with_num_frames(120).stream(), None)
             .unwrap();
         assert_eq!(records.len(), 120);
         assert!(
@@ -233,7 +224,7 @@ mod tests {
         };
         let mut hopper = FrameHopperRuntime::new(engine(), config).unwrap();
         let records = hopper
-            .run(Scenario::scenario_3().with_num_frames(60).stream())
+            .run(Scenario::scenario_3().with_num_frames(60).stream(), None)
             .unwrap();
         // With a similarity threshold of 0 every skippable frame is skipped,
         // so the pattern must be at most 2 skips between detections.
@@ -254,10 +245,10 @@ mod tests {
         let scenario = Scenario::scenario_1().with_num_frames(300);
         let mut hopper =
             FrameHopperRuntime::new(engine(), FrameHopperConfig::aggressive()).unwrap();
-        let hopper_records = hopper.run(scenario.clone().stream()).unwrap();
+        let hopper_records = hopper.run(scenario.clone().stream(), None).unwrap();
         let mut single =
             SingleModelRuntime::new(engine(), ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
-        let single_records = single.run(scenario.stream()).unwrap();
+        let single_records = single.run(scenario.stream(), None).unwrap();
 
         let he: f64 = hopper_records.iter().map(|r| r.energy_j).sum();
         let se: f64 = single_records.iter().map(|r| r.energy_j).sum();
@@ -280,10 +271,10 @@ mod tests {
         let scenario = Scenario::scenario_2().with_num_frames(200);
         let mut standard =
             FrameHopperRuntime::new(engine(), FrameHopperConfig::standard()).unwrap();
-        let _ = standard.run(scenario.clone().stream()).unwrap();
+        let _ = standard.run(scenario.clone().stream(), None).unwrap();
         let mut aggressive =
             FrameHopperRuntime::new(engine(), FrameHopperConfig::aggressive()).unwrap();
-        let _ = aggressive.run(scenario.stream()).unwrap();
+        let _ = aggressive.run(scenario.stream(), None).unwrap();
         assert!(aggressive.skipped_frames() >= standard.skipped_frames());
     }
 
@@ -301,7 +292,7 @@ mod tests {
     fn stays_on_one_pair_and_never_swaps() {
         let mut hopper = FrameHopperRuntime::new(engine(), FrameHopperConfig::standard()).unwrap();
         let records = hopper
-            .run(Scenario::scenario_4().with_num_frames(80).stream())
+            .run(Scenario::scenario_4().with_num_frames(80).stream(), None)
             .unwrap();
         assert!(records.iter().all(|r| r.model == ModelId::YoloV7));
         assert!(records.iter().all(|r| r.accelerator == AcceleratorId::Gpu));

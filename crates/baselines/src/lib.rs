@@ -26,6 +26,9 @@
 //!
 //! All baselines emit the same [`shift_metrics::FrameRecord`] stream as the
 //! SHIFT runtime, so the experiment harness can tabulate them side by side.
+//! Each implements [`Baseline`]: a per-frame step plus engine access, over
+//! which the one provided replay loop, [`Baseline::run`], drives a whole
+//! stream, optionally under a scripted [`FaultPlan`].
 
 pub mod adavp;
 pub mod framehopper;
@@ -42,3 +45,61 @@ pub use offload::{OffloadConfig, OffloadRuntime, OffloadStats};
 pub use oracle::{OracleObjective, OracleRuntime};
 pub use single::SingleModelRuntime;
 pub use tracker::NccTracker;
+
+use shift_metrics::FrameRecord;
+use shift_models::ModelId;
+use shift_soc::{AcceleratorId, ExecutionEngine, FaultInjector, FaultPlan, SocError};
+use shift_video::Frame;
+
+/// The per-frame surface every baseline runtime shares, and the one replay
+/// loop over it.
+pub trait Baseline {
+    /// Processes one frame.
+    ///
+    /// # Errors
+    ///
+    /// Propagates execution errors from the SoC simulator.
+    fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError>;
+
+    /// Mutable access to the engine — the hook fault injection applies
+    /// platform faults through between frames.
+    fn engine_mut(&mut self) -> &mut ExecutionEngine;
+
+    /// The (model, accelerator) pair a blind frame is attributed to: the
+    /// pinned pair, or the first candidate of a multi-pair runtime.
+    fn home_pair(&self) -> (ModelId, AcceleratorId);
+
+    /// Runs the baseline over a frame stream.
+    ///
+    /// With a fault plan, the plan's injector advances to every frame before
+    /// it runs, and a frame the engine refuses with
+    /// [`SocError::AcceleratorOffline`] is recorded as *blind*: IoU 0, no
+    /// latency and no energy, attributed to [`Baseline::home_pair`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first execution error (any error at all when no plan
+    /// is given).
+    fn run(
+        &mut self,
+        frames: impl IntoIterator<Item = Frame>,
+        faults: Option<&FaultPlan>,
+    ) -> Result<Vec<FrameRecord>, SocError> {
+        let mut injector = faults.cloned().map(FaultInjector::new);
+        let mut records = Vec::new();
+        for frame in frames {
+            if let Some(injector) = injector.as_mut() {
+                injector.advance(frame.index as u64, self.engine_mut());
+            }
+            let record = match self.process_frame(&frame) {
+                Err(SocError::AcceleratorOffline(_)) if injector.is_some() => {
+                    let (model, accelerator) = self.home_pair();
+                    FrameRecord::new(frame.index, model, accelerator, 0.0, 0.0, 0.0, false)
+                }
+                result => result?,
+            };
+            records.push(record);
+        }
+        Ok(records)
+    }
+}

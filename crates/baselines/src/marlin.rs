@@ -8,6 +8,7 @@
 //! single-accelerator method ("Non-GPU 0%" and "Pairs Used 1" in Table III).
 
 use crate::tracker::{NccTracker, TRACKER_LATENCY_S, TRACKER_POWER_W};
+use crate::Baseline;
 use serde::{Deserialize, Serialize};
 use shift_metrics::FrameRecord;
 use shift_models::ModelId;
@@ -104,11 +105,15 @@ impl MarlinRuntime {
     pub fn detector_invocations(&self) -> u64 {
         self.detector_invocations
     }
+}
 
-    /// Mutable access to the engine — the hook failure-injection harnesses
-    /// use to apply platform faults between frames.
-    pub fn engine_mut(&mut self) -> &mut ExecutionEngine {
+impl Baseline for MarlinRuntime {
+    fn engine_mut(&mut self) -> &mut ExecutionEngine {
         &mut self.engine
+    }
+
+    fn home_pair(&self) -> (ModelId, AcceleratorId) {
+        (self.config.model, self.config.accelerator)
     }
 
     /// Processes one frame: track if possible, otherwise detect.
@@ -121,7 +126,7 @@ impl MarlinRuntime {
     /// detector count all survive to the first post-recovery frame, so a
     /// failure-injection harness that records the outage as blind frames
     /// never loses the initial load cost from the record stream.
-    pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
+    fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
         if !self.engine.is_online(self.config.accelerator) {
             return Err(SocError::AcceleratorOffline(self.config.accelerator));
         }
@@ -175,22 +180,6 @@ impl MarlinRuntime {
             false,
         ))
     }
-
-    /// Runs Marlin over a full frame stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution error.
-    pub fn run<I>(&mut self, frames: I) -> Result<Vec<FrameRecord>, SocError>
-    where
-        I: IntoIterator<Item = Frame>,
-    {
-        let mut records = Vec::new();
-        for frame in frames {
-            records.push(self.process_frame(&frame)?);
-        }
-        Ok(records)
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +228,7 @@ mod tests {
     fn marlin_invokes_the_dnn_less_often_than_every_frame() {
         let mut marlin = MarlinRuntime::new(engine(), MarlinConfig::standard()).unwrap();
         let records = marlin
-            .run(Scenario::scenario_3().with_num_frames(100).stream())
+            .run(Scenario::scenario_3().with_num_frames(100).stream(), None)
             .unwrap();
         assert_eq!(records.len(), 100);
         assert!(
@@ -253,10 +242,10 @@ mod tests {
     fn marlin_is_cheaper_than_single_model_on_easy_scenarios() {
         let scenario = Scenario::scenario_3().with_num_frames(120);
         let mut marlin = MarlinRuntime::new(engine(), MarlinConfig::standard()).unwrap();
-        let marlin_records = marlin.run(scenario.clone().stream()).unwrap();
+        let marlin_records = marlin.run(scenario.clone().stream(), None).unwrap();
         let mut single =
             SingleModelRuntime::new(engine(), ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
-        let single_records = single.run(scenario.stream()).unwrap();
+        let single_records = single.run(scenario.stream(), None).unwrap();
         let marlin_energy: f64 = marlin_records.iter().map(|r| r.energy_j).sum();
         let single_energy: f64 = single_records.iter().map(|r| r.energy_j).sum();
         assert!(
@@ -269,7 +258,7 @@ mod tests {
     fn marlin_stays_on_one_pair_and_never_swaps() {
         let mut marlin = MarlinRuntime::new(engine(), MarlinConfig::tiny()).unwrap();
         let records = marlin
-            .run(Scenario::scenario_2().with_num_frames(80).stream())
+            .run(Scenario::scenario_2().with_num_frames(80).stream(), None)
             .unwrap();
         assert!(records.iter().all(|r| r.model == ModelId::YoloV7Tiny));
         assert!(records.iter().all(|r| r.accelerator == AcceleratorId::Gpu));
@@ -280,7 +269,7 @@ mod tests {
     fn marlin_retains_reasonable_accuracy_on_easy_scenarios() {
         let mut marlin = MarlinRuntime::new(engine(), MarlinConfig::standard()).unwrap();
         let records = marlin
-            .run(Scenario::scenario_3().with_num_frames(150).stream())
+            .run(Scenario::scenario_3().with_num_frames(150).stream(), None)
             .unwrap();
         let success =
             records.iter().filter(|r| r.is_success()).count() as f64 / records.len() as f64;
@@ -295,7 +284,7 @@ mod tests {
         };
         let mut marlin = MarlinRuntime::new(engine(), config).unwrap();
         let _ = marlin
-            .run(Scenario::scenario_3().with_num_frames(40).stream())
+            .run(Scenario::scenario_3().with_num_frames(40).stream(), None)
             .unwrap();
         assert!(
             marlin.detector_invocations() >= 40 / 4,

@@ -12,6 +12,7 @@
 //! model when one is configured).
 
 use crate::tracker::{NccTracker, TRACKER_LATENCY_S, TRACKER_POWER_W};
+use crate::Baseline;
 use serde::{Deserialize, Serialize};
 use shift_metrics::FrameRecord;
 use shift_models::ModelId;
@@ -124,14 +125,20 @@ impl OffloadRuntime {
     pub fn stats(&self) -> OffloadStats {
         self.stats
     }
+}
+
+impl Baseline for OffloadRuntime {
+    fn engine_mut(&mut self) -> &mut ExecutionEngine {
+        &mut self.engine
+    }
+
+    fn home_pair(&self) -> (ModelId, AcceleratorId) {
+        (self.config.server_model, AcceleratorId::Cpu)
+    }
 
     /// Processes one frame: offload when the link is up, otherwise degrade to
     /// the local fallback model or the tracker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors from the SoC simulator.
-    pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
+    fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
         let round_trip = self.config.link.round_trip(
             frame.index,
             self.config.payload_mb,
@@ -213,22 +220,6 @@ impl OffloadRuntime {
             false,
         ))
     }
-
-    /// Runs the baseline over a full frame stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution error.
-    pub fn run<I>(&mut self, frames: I) -> Result<Vec<FrameRecord>, SocError>
-    where
-        I: IntoIterator<Item = Frame>,
-    {
-        let mut records = Vec::new();
-        for frame in frames {
-            records.push(self.process_frame(&frame)?);
-        }
-        Ok(records)
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +242,7 @@ mod tests {
     fn wifi_offload_answers_every_frame_remotely() {
         let mut rt = OffloadRuntime::new(engine(), OffloadConfig::wifi()).unwrap();
         let records = rt
-            .run(Scenario::scenario_3().with_num_frames(60).stream())
+            .run(Scenario::scenario_3().with_num_frames(60).stream(), None)
             .unwrap();
         assert_eq!(records.len(), 60);
         assert_eq!(rt.stats().offloaded_frames, 60);
@@ -263,10 +254,10 @@ mod tests {
     fn offload_saves_client_energy_but_pays_latency_vs_local_gpu() {
         let scenario = Scenario::scenario_3().with_num_frames(100);
         let mut offload = OffloadRuntime::new(engine(), OffloadConfig::wifi()).unwrap();
-        let offload_records = offload.run(scenario.clone().stream()).unwrap();
+        let offload_records = offload.run(scenario.clone().stream(), None).unwrap();
         let mut local =
             SingleModelRuntime::new(engine(), ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
-        let local_records = local.run(scenario.stream()).unwrap();
+        let local_records = local.run(scenario.stream(), None).unwrap();
 
         let offload_energy: f64 = offload_records.iter().map(|r| r.energy_j).sum();
         let local_energy: f64 = local_records.iter().map(|r| r.energy_j).sum();
@@ -286,7 +277,7 @@ mod tests {
         };
         let mut remote = OffloadRuntime::new(engine(), cellular).unwrap();
         let remote_records = remote
-            .run(Scenario::scenario_3().with_num_frames(100).stream())
+            .run(Scenario::scenario_3().with_num_frames(100).stream(), None)
             .unwrap();
         let offloaded: Vec<_> = remote_records
             .iter()
@@ -312,7 +303,7 @@ mod tests {
     fn cellular_outages_fall_back_to_the_local_model() {
         let mut rt = OffloadRuntime::new(engine(), OffloadConfig::cellular()).unwrap();
         let records = rt
-            .run(Scenario::scenario_1().with_num_frames(700).stream())
+            .run(Scenario::scenario_1().with_num_frames(700).stream(), None)
             .unwrap();
         assert_eq!(records.len(), 700);
         let stats = rt.stats();
@@ -335,7 +326,7 @@ mod tests {
         };
         let mut rt = OffloadRuntime::new(engine(), config).unwrap();
         let records = rt
-            .run(Scenario::scenario_2().with_num_frames(400).stream())
+            .run(Scenario::scenario_2().with_num_frames(400).stream(), None)
             .unwrap();
         assert_eq!(records.len(), 400);
         let stats = rt.stats();
@@ -347,13 +338,13 @@ mod tests {
     fn accuracy_degrades_when_the_link_degrades() {
         let scenario = Scenario::scenario_1().with_num_frames(600);
         let mut good = OffloadRuntime::new(engine(), OffloadConfig::wifi()).unwrap();
-        let good_records = good.run(scenario.clone().stream()).unwrap();
+        let good_records = good.run(scenario.clone().stream(), None).unwrap();
         let config = OffloadConfig {
             local_fallback: None,
             ..OffloadConfig::degraded()
         };
         let mut bad = OffloadRuntime::new(engine(), config).unwrap();
-        let bad_records = bad.run(scenario.stream()).unwrap();
+        let bad_records = bad.run(scenario.stream(), None).unwrap();
         let mean = |rs: &[FrameRecord]| rs.iter().map(|r| r.iou).sum::<f64>() / rs.len() as f64;
         assert!(
             mean(&good_records) > mean(&bad_records),

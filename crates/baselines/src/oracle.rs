@@ -10,6 +10,7 @@
 //! Three objectives are evaluated: Oracle E (energy), Oracle A (accuracy) and
 //! Oracle L (latency).
 
+use crate::Baseline;
 use serde::{Deserialize, Serialize};
 use shift_metrics::FrameRecord;
 use shift_models::ModelId;
@@ -98,10 +99,26 @@ impl OracleRuntime {
         self.swap_count
     }
 
-    /// Mutable access to the engine — the hook failure-injection harnesses
-    /// use to apply platform faults between frames.
-    pub fn engine_mut(&mut self) -> &mut ExecutionEngine {
+    /// Smaller-is-better ranking key for the configured objective.
+    fn objective_key(&self, report: &InferenceReport, iou: f64) -> f64 {
+        match self.objective {
+            OracleObjective::Energy => report.energy_j,
+            OracleObjective::Accuracy => -iou,
+            OracleObjective::Latency => report.latency_s,
+        }
+    }
+}
+
+impl Baseline for OracleRuntime {
+    fn engine_mut(&mut self) -> &mut ExecutionEngine {
         &mut self.engine
+    }
+
+    fn home_pair(&self) -> (ModelId, AcceleratorId) {
+        self.pairs
+            .first()
+            .copied()
+            .unwrap_or((ModelId::YoloV7, AcceleratorId::Gpu))
     }
 
     /// Processes one frame: probe every pair whose accelerator is accepting
@@ -113,9 +130,9 @@ impl OracleRuntime {
     /// # Errors
     ///
     /// Propagates probing errors from the SoC simulator, and reports
-    /// [`SocError::AcceleratorOffline`] (naming the first candidate's
-    /// accelerator) when every candidate accelerator is offline at once.
-    pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
+    /// [`SocError::AcceleratorOffline`] (naming the home pair's accelerator)
+    /// when every candidate accelerator is offline at once.
+    fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
         let mut probes: Vec<InferenceReport> = Vec::with_capacity(self.pairs.len());
         for &(model, accelerator) in &self.pairs {
             if !self.engine.is_online(accelerator) {
@@ -124,12 +141,7 @@ impl OracleRuntime {
             probes.push(self.engine.probe_inference(model, accelerator, frame)?);
         }
         if probes.is_empty() {
-            return Err(SocError::AcceleratorOffline(
-                self.pairs
-                    .first()
-                    .map(|&(_, accelerator)| accelerator)
-                    .unwrap_or(AcceleratorId::Gpu),
-            ));
+            return Err(SocError::AcceleratorOffline(self.home_pair().1));
         }
         let iou_of = |report: &InferenceReport| report.result.iou_against(frame.truth.as_ref());
 
@@ -167,31 +179,6 @@ impl OracleRuntime {
             best.energy_j,
             swapped,
         ))
-    }
-
-    /// Runs the Oracle over a full frame stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first probing error.
-    pub fn run<I>(&mut self, frames: I) -> Result<Vec<FrameRecord>, SocError>
-    where
-        I: IntoIterator<Item = Frame>,
-    {
-        let mut records = Vec::new();
-        for frame in frames {
-            records.push(self.process_frame(&frame)?);
-        }
-        Ok(records)
-    }
-
-    /// Smaller-is-better ranking key for the configured objective.
-    fn objective_key(&self, report: &InferenceReport, iou: f64) -> f64 {
-        match self.objective {
-            OracleObjective::Energy => report.energy_j,
-            OracleObjective::Accuracy => -iou,
-            OracleObjective::Latency => report.latency_s,
-        }
     }
 }
 
@@ -272,10 +259,10 @@ mod tests {
     fn accuracy_oracle_dominates_energy_oracle_on_iou() {
         let scenario = Scenario::scenario_1().with_num_frames(200);
         let a_records = oracle(OracleObjective::Accuracy)
-            .run(scenario.clone().stream())
+            .run(scenario.clone().stream(), None)
             .unwrap();
         let e_records = oracle(OracleObjective::Energy)
-            .run(scenario.stream())
+            .run(scenario.stream(), None)
             .unwrap();
         let mean = |records: &[FrameRecord]| {
             records.iter().map(|r| r.iou).sum::<f64>() / records.len() as f64
@@ -292,10 +279,10 @@ mod tests {
     fn energy_oracle_uses_less_energy_than_accuracy_oracle() {
         let scenario = Scenario::scenario_1().with_num_frames(200);
         let a_records = oracle(OracleObjective::Accuracy)
-            .run(scenario.clone().stream())
+            .run(scenario.clone().stream(), None)
             .unwrap();
         let e_records = oracle(OracleObjective::Energy)
-            .run(scenario.stream())
+            .run(scenario.stream(), None)
             .unwrap();
         let total = |records: &[FrameRecord]| records.iter().map(|r| r.energy_j).sum::<f64>();
         assert!(
@@ -310,10 +297,10 @@ mod tests {
     fn latency_oracle_minimizes_time() {
         let scenario = Scenario::scenario_2().with_num_frames(150);
         let l_records = oracle(OracleObjective::Latency)
-            .run(scenario.clone().stream())
+            .run(scenario.clone().stream(), None)
             .unwrap();
         let a_records = oracle(OracleObjective::Accuracy)
-            .run(scenario.stream())
+            .run(scenario.stream(), None)
             .unwrap();
         let mean_latency = |records: &[FrameRecord]| {
             records.iter().map(|r| r.latency_s).sum::<f64>() / records.len() as f64
@@ -325,7 +312,7 @@ mod tests {
     fn oracle_counts_swaps() {
         let mut o = oracle(OracleObjective::Accuracy);
         let records = o
-            .run(Scenario::scenario_1().with_num_frames(150).stream())
+            .run(Scenario::scenario_1().with_num_frames(150).stream(), None)
             .unwrap();
         let swapped_frames = records.iter().filter(|r| r.swapped).count() as u64;
         assert_eq!(swapped_frames, o.swap_count());

@@ -1,6 +1,7 @@
 //! Single-model baseline: one fixed (model, accelerator) pair for the whole
 //! stream — the conventional deployment SHIFT is compared against.
 
+use crate::Baseline;
 use shift_metrics::FrameRecord;
 use shift_models::ModelId;
 use shift_soc::{AcceleratorId, ExecutionEngine, SocError};
@@ -13,7 +14,7 @@ use shift_video::Frame;
 /// frame, matching how the SHIFT runtime accounts for its initial load.
 ///
 /// ```
-/// use shift_baselines::SingleModelRuntime;
+/// use shift_baselines::{Baseline, SingleModelRuntime};
 /// use shift_models::{ModelId, ModelZoo, ResponseModel};
 /// use shift_soc::{AcceleratorId, ExecutionEngine, Platform};
 /// use shift_video::Scenario;
@@ -24,7 +25,7 @@ use shift_video::Frame;
 ///     ResponseModel::new(0),
 /// );
 /// let mut runtime = SingleModelRuntime::new(engine, ModelId::YoloV7Tiny, AcceleratorId::Gpu)?;
-/// let records = runtime.run(Scenario::scenario_3().with_num_frames(10).stream())?;
+/// let records = runtime.run(Scenario::scenario_3().with_num_frames(10).stream(), None)?;
 /// assert_eq!(records.len(), 10);
 /// # Ok::<(), shift_soc::SocError>(())
 /// ```
@@ -58,28 +59,18 @@ impl SingleModelRuntime {
             pending_load_energy_j: load.load_energy_j,
         })
     }
+}
 
-    /// The model this runtime executes.
-    pub fn model(&self) -> ModelId {
-        self.model
+impl Baseline for SingleModelRuntime {
+    fn engine_mut(&mut self) -> &mut ExecutionEngine {
+        &mut self.engine
     }
 
-    /// The accelerator this runtime executes on.
-    pub fn accelerator(&self) -> AcceleratorId {
-        self.accelerator
+    fn home_pair(&self) -> (ModelId, AcceleratorId) {
+        (self.model, self.accelerator)
     }
 
-    /// The underlying engine (for telemetry inspection).
-    pub fn engine(&self) -> &ExecutionEngine {
-        &self.engine
-    }
-
-    /// Processes a single frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors from the SoC simulator.
-    pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
+    fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
         let report = self
             .engine
             .run_inference(self.model, self.accelerator, frame)?;
@@ -94,22 +85,6 @@ impl SingleModelRuntime {
             report.energy_j + load_energy,
             false,
         ))
-    }
-
-    /// Runs the baseline over a full frame stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution error.
-    pub fn run<I>(&mut self, frames: I) -> Result<Vec<FrameRecord>, SocError>
-    where
-        I: IntoIterator<Item = Frame>,
-    {
-        let mut records = Vec::new();
-        for frame in frames {
-            records.push(self.process_frame(&frame)?);
-        }
-        Ok(records)
     }
 }
 
@@ -133,14 +108,13 @@ mod tests {
         let mut rt =
             SingleModelRuntime::new(engine(), ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
         let records = rt
-            .run(Scenario::scenario_3().with_num_frames(30).stream())
+            .run(Scenario::scenario_3().with_num_frames(30).stream(), None)
             .unwrap();
         assert_eq!(records.len(), 30);
         assert!(records.iter().all(|r| r.model == ModelId::YoloV7));
         assert!(records.iter().all(|r| r.accelerator == AcceleratorId::Gpu));
         assert!(records.iter().all(|r| !r.swapped));
-        assert_eq!(rt.model(), ModelId::YoloV7);
-        assert_eq!(rt.accelerator(), AcceleratorId::Gpu);
+        assert_eq!(rt.home_pair(), (ModelId::YoloV7, AcceleratorId::Gpu));
     }
 
     #[test]
@@ -166,7 +140,7 @@ mod tests {
         let mut rt =
             SingleModelRuntime::new(engine(), ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
         let records = rt
-            .run(Scenario::scenario_3().with_num_frames(50).stream())
+            .run(Scenario::scenario_3().with_num_frames(50).stream(), None)
             .unwrap();
         // Skip the first frame (load cost) and average the rest; the result
         // should sit near the paper's 1.97 J per inference.
@@ -183,8 +157,8 @@ mod tests {
             SingleModelRuntime::new(engine(), ModelId::SsdMobilenetV2Small, AcceleratorId::Gpu)
                 .unwrap();
         let scenario = Scenario::scenario_5().with_num_frames(150);
-        let strong_records = strong.run(scenario.clone().stream()).unwrap();
-        let weak_records = weak.run(scenario.stream()).unwrap();
+        let strong_records = strong.run(scenario.clone().stream(), None).unwrap();
+        let weak_records = weak.run(scenario.stream(), None).unwrap();
         let strong_iou: f64 =
             strong_records.iter().map(|r| r.iou).sum::<f64>() / strong_records.len() as f64;
         let weak_iou: f64 =

@@ -101,18 +101,6 @@ impl EventKind {
             EventKind::InferenceComplete => 5,
         }
     }
-
-    /// Stable lowercase label (used in trace CSV rows).
-    pub const fn label(self) -> &'static str {
-        match self {
-            EventKind::FaultEdge => "fault_edge",
-            EventKind::SessionDetach => "session_detach",
-            EventKind::SessionAttach => "session_attach",
-            EventKind::FrameArrival => "frame_arrival",
-            EventKind::LoadComplete => "load_complete",
-            EventKind::InferenceComplete => "inference_complete",
-        }
-    }
 }
 
 /// The total-order key events pop in: `(time, rank, stream, seq)`,
@@ -248,26 +236,6 @@ impl<P> EventQueue<P> {
     }
 }
 
-/// One entry of the optional fleet event trace: which lifecycle event fired,
-/// on which tick, for which stream, and at what virtual time.
-///
-/// The virtual stamps reconstruct the frame's latency accounting:
-/// `InferenceComplete.at_s - FrameArrival.at_s` is exactly the frame's
-/// end-to-end `latency_s`, and `InferenceComplete.at_s - LoadComplete.at_s`
-/// is exactly the inference kernel's `latency_s` (see
-/// `shift_metrics::trace` for the CSV surface).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Discrete tick (frames admitted before this one) the event fired on.
-    pub tick: u64,
-    /// Which lifecycle event fired.
-    pub kind: EventKind,
-    /// The stream the event belongs to.
-    pub stream: usize,
-    /// Virtual time of the event, seconds.
-    pub at_s: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,9 +244,6 @@ mod tests {
     fn ranks_follow_the_documented_order() {
         let ranks: Vec<u8> = EventKind::ALL.iter().map(|k| k.rank()).collect();
         assert_eq!(ranks, [0, 1, 2, 3, 4, 5]);
-        assert_eq!(EventKind::FaultEdge.label(), "fault_edge");
-        assert_eq!(EventKind::SessionDetach.label(), "session_detach");
-        assert_eq!(EventKind::SessionAttach.label(), "session_attach");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use cluster::{
 };
 pub use config::{Knobs, ShiftConfig};
 pub use context::ContextDetector;
-pub use des::{Event, EventKey, EventKind, EventQueue, ExecutionMode, TraceEvent};
+pub use des::{Event, EventKey, EventKind, EventQueue, ExecutionMode};
 pub use fleet::{
     FleetBuilder, FleetConfig, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec,
     StreamView,

@@ -17,11 +17,8 @@
 //!   AdaVP and FrameHopper baselines from the related-work discussion.
 
 use crate::workloads::{paper_shift_config, REFERENCE_SINGLE_MODEL};
-use crate::{ExperimentContext, ExperimentError};
-use shift_baselines::{
-    AdaVpConfig, AdaVpRuntime, FrameHopperConfig, FrameHopperRuntime, OffloadConfig,
-    OffloadRuntime, SingleModelRuntime,
-};
+use crate::{ExperimentContext, ExperimentError, Method};
+use shift_baselines::{AdaVpConfig, FrameHopperConfig, OffloadConfig};
 use shift_core::{
     prediction_mae, AccuracyPredictor, ConfidenceGraph, EnsemblePredictor, PassthroughPredictor,
     RegressionPredictor,
@@ -29,7 +26,7 @@ use shift_core::{
 use shift_metrics::{RunSummary, Table};
 use shift_models::{ModelZoo, Precision, ResponseModel};
 use shift_soc::{ExecutionEngine, PowerMode};
-use shift_video::CharacterizationDataset;
+use shift_video::{CharacterizationDataset, Scenario};
 
 /// One row of the predictor ablation: a predictor's error on the training
 /// characterization set and on a held-out set generated with a different
@@ -129,42 +126,32 @@ pub struct PrecisionRow {
 /// Propagates execution failures.
 pub fn precision_ablation(ctx: &ExperimentContext) -> Result<Vec<PrecisionRow>, ExperimentError> {
     let (model, accelerator) = REFERENCE_SINGLE_MODEL;
+    let single = Method::Single(model, accelerator);
     let scenarios = ctx.scenarios();
     let mut rows = Vec::new();
 
     for precision in Precision::ALL {
         let zoo = ModelZoo::standard().with_precision(precision);
-        let mut summaries = Vec::new();
-        for scenario in &scenarios {
-            let engine = ExecutionEngine::new(
+        let engine = || {
+            ExecutionEngine::new(
                 ctx.platform().clone(),
                 zoo.clone(),
                 ResponseModel::new(ctx.seed()),
-            );
-            let mut runtime = SingleModelRuntime::new(engine, model, accelerator)?;
-            let records = runtime.run(scenario.stream())?;
-            let label = format!("{model} {precision} / {}", scenario.name());
-            summaries.push(RunSummary::from_records(label, &records));
-        }
+            )
+        };
         let label = format!("{model} {precision} (GPU)");
         rows.push(PrecisionRow {
             label: label.clone(),
-            summary: RunSummary::average(label, &summaries),
+            summary: averaged(ctx, &scenarios, label, engine, &single)?,
         });
     }
 
     // SHIFT at FP32 for comparison.
-    let mut shift_summaries = Vec::new();
-    for scenario in &scenarios {
-        let records = ctx.run_shift(scenario, paper_shift_config())?;
-        shift_summaries.push(RunSummary::from_records(
-            format!("SHIFT / {}", scenario.name()),
-            &records,
-        ));
-    }
+    let label = "SHIFT (multi-model, FP32)";
+    let method = Method::Shift(paper_shift_config());
     rows.push(PrecisionRow {
-        label: "SHIFT (multi-model, FP32)".to_string(),
-        summary: RunSummary::average("SHIFT (multi-model, FP32)", &shift_summaries),
+        label: label.to_string(),
+        summary: averaged(ctx, &scenarios, label, || ctx.engine(), &method)?,
     });
     Ok(rows)
 }
@@ -201,48 +188,21 @@ pub struct PowerModeRow {
 pub fn power_mode_ablation(ctx: &ExperimentContext) -> Result<Vec<PowerModeRow>, ExperimentError> {
     let (model, accelerator) = REFERENCE_SINGLE_MODEL;
     let scenarios = ctx.scenarios();
+    let methods = [
+        (format!("{model} (GPU)"), Method::Single(model, accelerator)),
+        ("SHIFT".to_string(), Method::Shift(paper_shift_config())),
+    ];
     let mut rows = Vec::new();
     for mode in PowerMode::ALL {
-        // Single-model reference under this mode.
-        let mut single_summaries = Vec::new();
-        for scenario in &scenarios {
-            let engine = ctx.engine().with_power_mode(mode);
-            let mut runtime = SingleModelRuntime::new(engine, model, accelerator)?;
-            let records = runtime.run(scenario.stream())?;
-            single_summaries.push(RunSummary::from_records(
-                format!("{model} @{mode} / {}", scenario.name()),
-                &records,
-            ));
+        let engine = || ctx.engine().with_power_mode(mode);
+        for (name, method) in &methods {
+            let label = format!("{name} @{mode}");
+            rows.push(PowerModeRow {
+                mode,
+                label: label.clone(),
+                summary: averaged(ctx, &scenarios, label, engine, method)?,
+            });
         }
-        let label = format!("{model} (GPU) @{mode}");
-        rows.push(PowerModeRow {
-            mode,
-            label: label.clone(),
-            summary: RunSummary::average(label, &single_summaries),
-        });
-
-        // SHIFT under this mode.
-        let mut shift_summaries = Vec::new();
-        for scenario in &scenarios {
-            let engine = ctx.engine().with_power_mode(mode);
-            let mut runtime = shift_core::ShiftRuntime::new(
-                engine,
-                ctx.characterization(),
-                paper_shift_config(),
-            )?;
-            let outcomes = runtime.run(scenario.stream())?;
-            let records: Vec<_> = outcomes.iter().map(crate::outcome_to_record).collect();
-            shift_summaries.push(RunSummary::from_records(
-                format!("SHIFT @{mode} / {}", scenario.name()),
-                &records,
-            ));
-        }
-        let label = format!("SHIFT @{mode}");
-        rows.push(PowerModeRow {
-            mode,
-            label: label.clone(),
-            summary: RunSummary::average(label, &shift_summaries),
-        });
     }
     Ok(rows)
 }
@@ -270,58 +230,23 @@ pub fn related_work_comparison(
     ctx: &ExperimentContext,
 ) -> Result<Vec<RunSummary>, ExperimentError> {
     let scenarios = ctx.scenarios();
-    let mut summaries = Vec::new();
-
-    let mut shift_rows = Vec::new();
-    for scenario in &scenarios {
-        let records = ctx.run_shift(scenario, paper_shift_config())?;
-        shift_rows.push(RunSummary::from_records(
-            format!("SHIFT / {}", scenario.name()),
-            &records,
-        ));
-    }
-    summaries.push(RunSummary::average("SHIFT", &shift_rows));
-
-    let offload_configs = [
-        ("Offload (Wi-Fi)", OffloadConfig::wifi()),
-        ("Offload (cellular)", OffloadConfig::cellular()),
+    let methods = [
+        ("SHIFT", Method::Shift(paper_shift_config())),
+        ("Offload (Wi-Fi)", Method::Offload(OffloadConfig::wifi())),
+        (
+            "Offload (cellular)",
+            Method::Offload(OffloadConfig::cellular()),
+        ),
+        ("AdaVP", Method::AdaVp(AdaVpConfig::standard())),
+        (
+            "FrameHopper",
+            Method::FrameHopper(FrameHopperConfig::standard()),
+        ),
     ];
-    for (label, config) in offload_configs {
-        let mut rows = Vec::new();
-        for scenario in &scenarios {
-            let mut runtime = OffloadRuntime::new(ctx.engine(), config.clone())?;
-            let records = runtime.run(scenario.stream())?;
-            rows.push(RunSummary::from_records(
-                format!("{label} / {}", scenario.name()),
-                &records,
-            ));
-        }
-        summaries.push(RunSummary::average(label, &rows));
-    }
-
-    let mut adavp_rows = Vec::new();
-    for scenario in &scenarios {
-        let mut runtime = AdaVpRuntime::new(ctx.engine(), AdaVpConfig::standard())?;
-        let records = runtime.run(scenario.stream())?;
-        adavp_rows.push(RunSummary::from_records(
-            format!("AdaVP / {}", scenario.name()),
-            &records,
-        ));
-    }
-    summaries.push(RunSummary::average("AdaVP", &adavp_rows));
-
-    let mut hopper_rows = Vec::new();
-    for scenario in &scenarios {
-        let mut runtime = FrameHopperRuntime::new(ctx.engine(), FrameHopperConfig::standard())?;
-        let records = runtime.run(scenario.stream())?;
-        hopper_rows.push(RunSummary::from_records(
-            format!("FrameHopper / {}", scenario.name()),
-            &records,
-        ));
-    }
-    summaries.push(RunSummary::average("FrameHopper", &hopper_rows));
-
-    Ok(summaries)
+    methods
+        .iter()
+        .map(|(label, method)| averaged(ctx, &scenarios, *label, || ctx.engine(), method))
+        .collect()
 }
 
 /// Renders the related-work comparison as a table.
@@ -335,6 +260,29 @@ pub fn related_work_table(ctx: &ExperimentContext) -> Result<Table, ExperimentEr
         "Extended comparison: SHIFT vs offloading / input-scaling / frame-skipping policies",
         &summaries,
     ))
+}
+
+/// Runs `method` over every scenario, each run on a fresh `engine()`, and
+/// averages the per-scenario summaries under `label`.
+fn averaged(
+    ctx: &ExperimentContext,
+    scenarios: &[Scenario],
+    label: impl Into<String>,
+    engine: impl Fn() -> ExecutionEngine,
+    method: &Method,
+) -> Result<RunSummary, ExperimentError> {
+    let label = label.into();
+    let summaries = scenarios
+        .iter()
+        .map(|scenario| {
+            let records = ctx.run_on(engine(), method, scenario, None)?;
+            Ok(RunSummary::from_records(
+                format!("{label} / {}", scenario.name()),
+                &records,
+            ))
+        })
+        .collect::<Result<Vec<_>, ExperimentError>>()?;
+    Ok(RunSummary::average(label, &summaries))
 }
 
 #[cfg(test)]

@@ -31,17 +31,13 @@
 //! invocation also ran `stress` (`repro -- stress chaos`), the chaos wall
 //! time is folded into `BENCH_stress.json`.
 
-use crate::workloads::paper_shift_config;
-use crate::{outcome_to_record, ExperimentContext, ExperimentError};
-use shift_baselines::{MarlinConfig, MarlinRuntime, OracleObjective, OracleRuntime};
-use shift_core::ShiftRuntime;
-use shift_metrics::{FrameRecord, ResilienceBreakdown, ResilienceRow, Table};
-use shift_soc::{FaultInjector, FaultPlan, FaultSpec, SocError};
+use crate::table3::Methodology;
+use crate::workloads::{paper_shift_config, GRID_METHODOLOGIES};
+use crate::{ExperimentContext, ExperimentError};
+use shift_metrics::{ResilienceBreakdown, ResilienceRow, Table};
+use shift_soc::{FaultPlan, FaultSpec};
 use shift_video::Scenario;
 use std::fmt::Write as _;
-
-/// The methodologies the chaos grid compares on every (plan, scenario) cell.
-pub const METHODS: [&str; 3] = ["SHIFT", "Marlin", "Oracle E"];
 
 /// Grid sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,74 +94,6 @@ pub fn fault_plan_library(ctx: &ExperimentContext, horizon: u64) -> Vec<(String,
         .collect()
 }
 
-/// A blind frame: the method's engine refused the frame mid-outage, so no
-/// detection lands and no cost is charged.
-fn blind_record(
-    index: usize,
-    model: shift_models::ModelId,
-    accelerator: shift_soc::AcceleratorId,
-) -> FrameRecord {
-    FrameRecord::new(index, model, accelerator, 0.0, 0.0, 0.0, false)
-}
-
-/// Runs one methodology over one scenario under one fault plan.
-fn run_method(
-    ctx: &ExperimentContext,
-    scenario: &Scenario,
-    method: &str,
-    plan: &FaultPlan,
-) -> Result<Vec<FrameRecord>, ExperimentError> {
-    match method {
-        "SHIFT" => {
-            let mut runtime =
-                ShiftRuntime::new(ctx.engine(), ctx.characterization(), paper_shift_config())?
-                    .with_fault_plan(plan.clone());
-            let outcomes = runtime.run(scenario.stream())?;
-            Ok(outcomes.iter().map(outcome_to_record).collect())
-        }
-        "Marlin" => {
-            let config = MarlinConfig::standard();
-            let mut runtime = MarlinRuntime::new(ctx.engine(), config)?;
-            let mut injector = FaultInjector::new(plan.clone());
-            let mut records = Vec::with_capacity(scenario.num_frames());
-            for frame in scenario.stream() {
-                injector.advance(frame.index as u64, runtime.engine_mut());
-                match runtime.process_frame(&frame) {
-                    Ok(record) => records.push(record),
-                    Err(SocError::AcceleratorOffline(_)) => {
-                        records.push(blind_record(frame.index, config.model, config.accelerator));
-                    }
-                    Err(other) => return Err(other.into()),
-                }
-            }
-            Ok(records)
-        }
-        "Oracle E" => {
-            let mut runtime = OracleRuntime::new(
-                ctx.engine(),
-                OracleObjective::Energy,
-                &crate::MULTI_ACCELERATORS,
-            )?;
-            let mut injector = FaultInjector::new(plan.clone());
-            let mut records = Vec::with_capacity(scenario.num_frames());
-            let fallback = runtime.pairs().first().copied();
-            for frame in scenario.stream() {
-                injector.advance(frame.index as u64, runtime.engine_mut());
-                match runtime.process_frame(&frame) {
-                    Ok(record) => records.push(record),
-                    Err(SocError::AcceleratorOffline(_)) => {
-                        let (model, accelerator) = fallback.expect("oracle has pairs");
-                        records.push(blind_record(frame.index, model, accelerator));
-                    }
-                    Err(other) => return Err(other.into()),
-                }
-            }
-            Ok(records)
-        }
-        other => unreachable!("unknown chaos method {other}"),
-    }
-}
-
 /// Runs the grid: every methodology over every (plan, scenario) cell, rows
 /// in plan-major (plan, scenario, method) order. Cells run on the
 /// deterministic parallel executor with `ctx.jobs()` workers; each cell owns
@@ -194,7 +122,7 @@ pub fn sweep(
         .take(options.plans.max(1))
         .collect();
     let goal = paper_shift_config().accuracy_goal;
-    let cells: Vec<(usize, usize, &str)> = plans
+    let cells: Vec<(usize, usize, Methodology)> = plans
         .iter()
         .enumerate()
         .flat_map(|(plan_index, _)| {
@@ -202,30 +130,22 @@ pub fn sweep(
                 .iter()
                 .enumerate()
                 .flat_map(move |(scenario_index, _)| {
-                    METHODS.map(move |method| (plan_index, scenario_index, method))
+                    GRID_METHODOLOGIES.map(move |m| (plan_index, scenario_index, m))
                 })
         })
         .collect();
     let rows = crate::executor::try_run_cells(
         ctx.jobs(),
         &cells,
-        |_, &(plan_index, scenario_index, method)| {
+        |_, &(plan_index, scenario_index, methodology)| {
             let (plan_name, plan) = &plans[plan_index];
             let scenario = &scenarios[scenario_index];
-            let records = run_method(ctx, scenario, method, plan)?;
-            let fault_flags: Vec<bool> = (0..records.len())
-                .map(|frame| plan.active_at(frame as u64))
-                .collect();
-            let recovery_edges: Vec<usize> = plan
-                .recovery_frames()
-                .into_iter()
-                .filter(|&edge| (edge as usize) < records.len())
-                .map(|edge| edge as usize)
-                .collect();
+            let records = ctx.run(&methodology.method(), scenario, Some(plan))?;
+            let (fault_flags, recovery_edges) = plan.frame_activity(records.len());
             Ok::<_, ExperimentError>(ResilienceRow::from_records(
                 plan_name.clone(),
                 scenario.name(),
-                method,
+                methodology.label(),
                 goal,
                 &records,
                 &fault_flags,
@@ -362,7 +282,7 @@ mod tests {
         let breakdown = sweep(&ctx, &options).expect("sweep runs");
         assert_eq!(
             breakdown.len(),
-            options.plans * options.scenarios * METHODS.len()
+            options.plans * options.scenarios * GRID_METHODOLOGIES.len()
         );
         let (met, total) = breakdown.fault_goal_attainment("SHIFT");
         assert_eq!(
@@ -401,8 +321,8 @@ mod tests {
         let ctx = ExperimentContext::quick(64);
         let artifact = artifact(&ctx, &ChaosOptions::smoke()).expect("artifact builds");
         let md = artifact.table.to_markdown();
-        for method in METHODS {
-            assert!(md.contains(method), "missing {method}");
+        for methodology in GRID_METHODOLOGIES {
+            assert!(md.contains(methodology.label()), "missing {methodology}");
         }
         for plan in ["healthy", "dropout", "mixed"] {
             assert!(md.contains(plan), "missing {plan}");

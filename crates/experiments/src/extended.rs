@@ -8,9 +8,8 @@
 //! chosen for, this table would show it; preserving the Table III ordering on
 //! unseen scenarios is the reproduction's generalization evidence.
 
-use crate::workloads::paper_shift_config;
+use crate::table3::Methodology;
 use crate::{ExperimentContext, ExperimentError};
-use shift_baselines::{MarlinConfig, OracleObjective};
 use shift_metrics::{RunSummary, Table};
 use shift_video::Scenario;
 
@@ -23,6 +22,15 @@ pub fn extension_scenarios(ctx: &ExperimentContext) -> Vec<Scenario> {
     ]
 }
 
+/// The Table III rows re-run on the extension scenarios, in row order.
+const METHODOLOGIES: [Methodology; 5] = [
+    Methodology::Marlin,
+    Methodology::MarlinTiny,
+    Methodology::Shift,
+    Methodology::OracleEnergy,
+    Methodology::OracleAccuracy,
+];
+
 /// Runs SHIFT, Marlin and the energy/accuracy Oracles over the extension
 /// scenarios and returns one averaged summary per methodology.
 ///
@@ -31,41 +39,23 @@ pub fn extension_scenarios(ctx: &ExperimentContext) -> Vec<Scenario> {
 /// Propagates execution failures.
 pub fn compute(ctx: &ExperimentContext) -> Result<Vec<RunSummary>, ExperimentError> {
     let scenarios = extension_scenarios(ctx);
-    let mut summaries = Vec::new();
-
-    let mut per_method =
-        |label: &str,
-         run: &mut dyn FnMut(
-            &Scenario,
-        )
-            -> Result<Vec<shift_metrics::FrameRecord>, ExperimentError>|
-         -> Result<(), ExperimentError> {
-            let mut rows = Vec::new();
-            for scenario in &scenarios {
-                let records = run(scenario)?;
-                rows.push(RunSummary::from_records(
-                    format!("{label} / {}", scenario.name()),
-                    &records,
-                ));
-            }
-            summaries.push(RunSummary::average(label, &rows));
-            Ok(())
-        };
-
-    per_method("Marlin", &mut |s| {
-        ctx.run_marlin(s, MarlinConfig::standard())
-    })?;
-    per_method("Marlin Tiny", &mut |s| {
-        ctx.run_marlin(s, MarlinConfig::tiny())
-    })?;
-    per_method("SHIFT", &mut |s| ctx.run_shift(s, paper_shift_config()))?;
-    per_method("Oracle E", &mut |s| {
-        ctx.run_oracle(s, OracleObjective::Energy)
-    })?;
-    per_method("Oracle A", &mut |s| {
-        ctx.run_oracle(s, OracleObjective::Accuracy)
-    })?;
-    Ok(summaries)
+    METHODOLOGIES
+        .iter()
+        .map(|methodology| {
+            let label = methodology.label();
+            let rows = scenarios
+                .iter()
+                .map(|scenario| {
+                    let records = ctx.run(&methodology.method(), scenario, None)?;
+                    Ok(RunSummary::from_records(
+                        format!("{label} / {}", scenario.name()),
+                        &records,
+                    ))
+                })
+                .collect::<Result<Vec<_>, ExperimentError>>()?;
+            Ok(RunSummary::average(label, &rows))
+        })
+        .collect()
 }
 
 /// Renders the extended-scenario comparison as a table.

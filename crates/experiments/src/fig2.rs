@@ -6,7 +6,7 @@
 //! easy segments and collapse on hard ones.
 
 use crate::workloads::{fig3_scenario, FIG2_MODELS};
-use crate::{ExperimentContext, ExperimentError};
+use crate::{ExperimentContext, ExperimentError, Method};
 use shift_metrics::{Table, Timeline};
 use shift_models::ModelId;
 use shift_soc::AcceleratorId;
@@ -35,7 +35,7 @@ pub fn compute(ctx: &ExperimentContext) -> Result<Vec<EfficiencySeries>, Experim
     let scenario = fig3_scenario(ctx);
     let mut series = Vec::new();
     for &model in FIG2_MODELS.iter() {
-        let records = ctx.run_single(&scenario, model, AcceleratorId::Gpu)?;
+        let records = ctx.run(&Method::Single(model, AcceleratorId::Gpu), &scenario, None)?;
         let timeline = Timeline::new(model.to_string(), records);
         let efficiency = timeline.bucketed(BUCKETS, |r| r.efficiency());
         let mean_efficiency = if timeline.is_empty() {

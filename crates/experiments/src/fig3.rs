@@ -3,7 +3,7 @@
 //! at varying distances from the camera").
 
 use crate::workloads::{fig3_scenario, paper_shift_config};
-use crate::{ExperimentContext, ExperimentError};
+use crate::{ExperimentContext, ExperimentError, Method};
 use shift_metrics::{RunSummary, Table, Timeline};
 use shift_video::Scenario;
 
@@ -36,7 +36,7 @@ pub fn compute_for(
     ctx: &ExperimentContext,
     scenario: &Scenario,
 ) -> Result<ScenarioTimeline, ExperimentError> {
-    let records = ctx.run_shift(scenario, paper_shift_config())?;
+    let records = ctx.run(&Method::Shift(paper_shift_config()), scenario, None)?;
     let timeline = Timeline::new("SHIFT", records.clone());
     let difficulty: Vec<f64> = bucket_difficulty(scenario, BUCKETS);
     Ok(ScenarioTimeline {

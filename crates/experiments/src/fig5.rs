@@ -7,7 +7,7 @@
 //! grid and compute Pearson correlations between each parameter and each
 //! metric.
 
-use crate::{ExperimentContext, ExperimentError};
+use crate::{ExperimentContext, ExperimentError, Method};
 use shift_core::{Knobs, ShiftConfig};
 use shift_metrics::{pearson_correlation, RunSummary, Table};
 use shift_video::Scenario;
@@ -199,9 +199,10 @@ fn run_point(
     scenarios: &[Scenario],
     config: ShiftConfig,
 ) -> Result<SweepPoint, ExperimentError> {
+    let method = Method::Shift(config.clone());
     let mut summaries = Vec::new();
     for scenario in scenarios {
-        let records = ctx.run_shift(scenario, config.clone())?;
+        let records = ctx.run(&method, scenario, None)?;
         summaries.push(RunSummary::from_records(scenario.name(), &records));
     }
     let average = RunSummary::average("sweep", &summaries);

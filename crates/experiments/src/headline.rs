@@ -7,7 +7,7 @@
 //! averages over all scenarios.
 
 use crate::workloads::{paper_shift_config, REFERENCE_SINGLE_MODEL};
-use crate::{ExperimentContext, ExperimentError};
+use crate::{ExperimentContext, ExperimentError, Method};
 use shift_metrics::{RunSummary, Table};
 
 /// The measured headline ratios (SHIFT vs YoloV7-on-GPU).
@@ -51,15 +51,16 @@ impl HeadlineRatios {
 ///
 /// Propagates execution failures.
 pub fn compute(ctx: &ExperimentContext) -> Result<HeadlineRatios, ExperimentError> {
-    let (reference_model, reference_accelerator) = REFERENCE_SINGLE_MODEL;
+    let shift_method = Method::Shift(paper_shift_config());
+    let (model, accelerator) = REFERENCE_SINGLE_MODEL;
+    let reference_method = Method::Single(model, accelerator);
     let mut energy_improvements = Vec::new();
     let mut latency_improvements = Vec::new();
     let mut shift_summaries = Vec::new();
     let mut reference_summaries = Vec::new();
     for scenario in ctx.scenarios() {
-        let shift_records = ctx.run_shift(&scenario, paper_shift_config())?;
-        let reference_records =
-            ctx.run_single(&scenario, reference_model, reference_accelerator)?;
+        let shift_records = ctx.run(&shift_method, &scenario, None)?;
+        let reference_records = ctx.run(&reference_method, &scenario, None)?;
         let shift = RunSummary::from_records("SHIFT", &shift_records);
         let reference = RunSummary::from_records("YoloV7 GPU", &reference_records);
         energy_improvements.push((

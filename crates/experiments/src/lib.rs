@@ -16,6 +16,13 @@
 //! | Fig. 5    | [`fig5`]   | Sensitivity of accuracy/energy/latency to the six SHIFT parameters |
 //! | §VI claim | [`headline`] | The up-to-7.5x energy and 2.8x latency headline ratios |
 //!
+//! Every artifact that compares methodologies names each one as a typed
+//! [`Method`] — SHIFT with its [`ShiftConfig`], Marlin, a single model, an
+//! Oracle, offloading, AdaVP or FrameHopper — and replays it through the
+//! one [`ExperimentContext::run`], optionally under a scripted fault plan.
+//! The ablations that vary the engine itself (precision, DVFS mode) use
+//! [`ExperimentContext::run_on`].
+//!
 //! Beyond the published artifacts, [`ablations`] quantifies the design
 //! choices the paper argues for but does not tabulate: the confidence graph
 //! vs cheaper accuracy predictors, quantized single-model deployment vs
@@ -80,7 +87,9 @@ pub mod table4;
 pub mod workloads;
 
 use shift_baselines::{
-    MarlinConfig, MarlinRuntime, OracleObjective, OracleRuntime, SingleModelRuntime,
+    AdaVpConfig, AdaVpRuntime, Baseline, FrameHopperConfig, FrameHopperRuntime, MarlinConfig,
+    MarlinRuntime, OffloadConfig, OffloadRuntime, OracleObjective, OracleRuntime,
+    SingleModelRuntime,
 };
 use shift_core::{
     characterize, Characterization, ExecutionMode, FrameOutcome, ShiftConfig, ShiftError,
@@ -88,7 +97,7 @@ use shift_core::{
 };
 use shift_metrics::FrameRecord;
 use shift_models::{ModelId, ModelZoo, ResponseModel};
-use shift_soc::{AcceleratorId, ExecutionEngine, Platform, SocError};
+use shift_soc::{AcceleratorId, ExecutionEngine, FaultPlan, Platform, SocError};
 use shift_video::{CharacterizationDataset, Scenario};
 
 /// Accelerators available to the multi-accelerator methods (SHIFT and the
@@ -273,63 +282,85 @@ impl ExperimentContext {
         scenario.with_num_frames(frames)
     }
 
-    /// Runs SHIFT over a scenario and returns per-frame records.
+    /// Runs one methodology over a scenario on a fresh engine and returns
+    /// its per-frame records. With a fault plan, SHIFT attaches it to its
+    /// runtime and the baselines replay it through [`Baseline::run`], which
+    /// records frames refused mid-outage as blind frames.
     ///
     /// # Errors
     ///
     /// Propagates runtime construction and execution failures.
-    pub fn run_shift(
+    pub fn run(
         &self,
+        method: &Method,
         scenario: &Scenario,
-        config: ShiftConfig,
+        faults: Option<&FaultPlan>,
     ) -> Result<Vec<FrameRecord>, ExperimentError> {
-        let mut runtime = ShiftRuntime::new(self.engine(), &self.characterization, config)?;
-        let outcomes = runtime.run(scenario.stream())?;
-        Ok(outcomes.iter().map(outcome_to_record).collect())
+        self.run_on(self.engine(), method, scenario, faults)
     }
 
-    /// Runs the Marlin baseline over a scenario.
+    /// [`ExperimentContext::run`] on an explicit engine, for the ablations
+    /// that vary the engine itself (numeric precision, DVFS power mode).
+    /// SHIFT still schedules from the context's characterization.
     ///
     /// # Errors
     ///
-    /// Propagates execution failures.
-    pub fn run_marlin(
+    /// Propagates runtime construction and execution failures.
+    pub fn run_on(
         &self,
+        engine: ExecutionEngine,
+        method: &Method,
         scenario: &Scenario,
-        config: MarlinConfig,
+        faults: Option<&FaultPlan>,
     ) -> Result<Vec<FrameRecord>, ExperimentError> {
-        let mut runtime = MarlinRuntime::new(self.engine(), config)?;
-        Ok(runtime.run(scenario.stream())?)
+        let frames = scenario.stream();
+        let records = match method {
+            Method::Shift(config) => {
+                let mut runtime =
+                    ShiftRuntime::new(engine, &self.characterization, config.clone())?;
+                if let Some(plan) = faults {
+                    runtime = runtime.with_fault_plan(plan.clone());
+                }
+                runtime.run(frames)?.iter().map(outcome_to_record).collect()
+            }
+            Method::Marlin(config) => MarlinRuntime::new(engine, *config)?.run(frames, faults)?,
+            Method::Single(model, accelerator) => {
+                SingleModelRuntime::new(engine, *model, *accelerator)?.run(frames, faults)?
+            }
+            Method::Oracle(objective) => {
+                OracleRuntime::new(engine, *objective, &MULTI_ACCELERATORS)?.run(frames, faults)?
+            }
+            Method::Offload(config) => {
+                OffloadRuntime::new(engine, config.clone())?.run(frames, faults)?
+            }
+            Method::AdaVp(config) => AdaVpRuntime::new(engine, *config)?.run(frames, faults)?,
+            Method::FrameHopper(config) => {
+                FrameHopperRuntime::new(engine, *config)?.run(frames, faults)?
+            }
+        };
+        Ok(records)
     }
+}
 
-    /// Runs a fixed single-model baseline over a scenario.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution failures.
-    pub fn run_single(
-        &self,
-        scenario: &Scenario,
-        model: ModelId,
-        accelerator: AcceleratorId,
-    ) -> Result<Vec<FrameRecord>, ExperimentError> {
-        let mut runtime = SingleModelRuntime::new(self.engine(), model, accelerator)?;
-        Ok(runtime.run(scenario.stream())?)
-    }
-
-    /// Runs one of the Oracles over a scenario.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution failures.
-    pub fn run_oracle(
-        &self,
-        scenario: &Scenario,
-        objective: OracleObjective,
-    ) -> Result<Vec<FrameRecord>, ExperimentError> {
-        let mut runtime = OracleRuntime::new(self.engine(), objective, &MULTI_ACCELERATORS)?;
-        Ok(runtime.run(scenario.stream())?)
-    }
+/// One methodology of the evaluation: SHIFT or one of the baselines it is
+/// compared against, with its configuration. [`ExperimentContext::run`]
+/// replays any of them over a scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Method {
+    /// SHIFT with its configuration.
+    Shift(ShiftConfig),
+    /// Marlin (detect, then track).
+    Marlin(MarlinConfig),
+    /// One fixed (model, accelerator) pair for every frame.
+    Single(ModelId, AcceleratorId),
+    /// An Oracle over every pair on [`MULTI_ACCELERATORS`].
+    Oracle(OracleObjective),
+    /// Glimpse-style edge-server offloading.
+    Offload(OffloadConfig),
+    /// AdaVP-style adaptive input resolution.
+    AdaVp(AdaVpConfig),
+    /// FrameHopper-style frame skipping.
+    FrameHopper(FrameHopperConfig),
 }
 
 /// Converts a SHIFT [`FrameOutcome`] into the runtime-agnostic
@@ -374,18 +405,19 @@ mod tests {
     fn context_runs_every_methodology() {
         let ctx = ExperimentContext::quick(2);
         let scenario = ctx.scaled(Scenario::scenario_3());
-        let shift = ctx
-            .run_shift(&scenario, ShiftConfig::paper_defaults())
-            .unwrap();
-        let marlin = ctx.run_marlin(&scenario, MarlinConfig::standard()).unwrap();
-        let single = ctx
-            .run_single(&scenario, ModelId::YoloV7, AcceleratorId::Gpu)
-            .unwrap();
-        let oracle = ctx.run_oracle(&scenario, OracleObjective::Energy).unwrap();
-        assert_eq!(shift.len(), scenario.num_frames());
-        assert_eq!(marlin.len(), scenario.num_frames());
-        assert_eq!(single.len(), scenario.num_frames());
-        assert_eq!(oracle.len(), scenario.num_frames());
+        let methods = [
+            Method::Shift(ShiftConfig::paper_defaults()),
+            Method::Marlin(MarlinConfig::standard()),
+            Method::Single(ModelId::YoloV7, AcceleratorId::Gpu),
+            Method::Oracle(OracleObjective::Energy),
+            Method::Offload(OffloadConfig::wifi()),
+            Method::AdaVp(AdaVpConfig::standard()),
+            Method::FrameHopper(FrameHopperConfig::standard()),
+        ];
+        for method in &methods {
+            let records = ctx.run(method, &scenario, None).unwrap();
+            assert_eq!(records.len(), scenario.num_frames(), "{method:?}");
+        }
     }
 
     #[test]

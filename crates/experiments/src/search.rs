@@ -35,10 +35,9 @@
 //! bit-identically by the tier-1 `tests/regression_corpus.rs`.
 
 use crate::workloads::paper_shift_config;
-use crate::{outcome_to_record, ExperimentContext, ExperimentError};
+use crate::{ExperimentContext, ExperimentError, Method};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shift_core::ShiftRuntime;
 use shift_metrics::{FrameRecord, HuntReport, HuntRow, ResilienceRow, ScenarioRow, Table};
 use shift_soc::{AcceleratorId, FaultPlan, FaultSpec, PowerMode};
 use shift_video::generator::{
@@ -257,14 +256,23 @@ pub fn entry_records(
     ctx: &ExperimentContext,
     entry: &HuntEntry,
 ) -> Result<Vec<FrameRecord>, ExperimentError> {
+    run_entry(
+        ctx,
+        entry,
+        &FaultPlan::generate(entry.fault_seed, &entry.fault),
+    )
+}
+
+/// [`entry_records`] under the entry's already generated fault plan.
+fn run_entry(
+    ctx: &ExperimentContext,
+    entry: &HuntEntry,
+    plan: &FaultPlan,
+) -> Result<Vec<FrameRecord>, ExperimentError> {
     let scenario =
         ScenarioGenerator::new(entry.scenario_seed).generate(&entry.scenario, entry.replica);
-    let plan = FaultPlan::generate(entry.fault_seed, &entry.fault);
     let config = paper_shift_config().with_accuracy_goal(entry.scenario.accuracy_goal);
-    let mut runtime =
-        ShiftRuntime::new(ctx.engine(), ctx.characterization(), config)?.with_fault_plan(plan);
-    let outcomes = runtime.run(scenario.stream())?;
-    Ok(outcomes.iter().map(outcome_to_record).collect())
+    ctx.run(&Method::Shift(config), &scenario, Some(plan))
 }
 
 /// Evaluates one entry: runs SHIFT and reduces the records to the breakdown
@@ -277,21 +285,13 @@ pub fn evaluate_entry(
     ctx: &ExperimentContext,
     entry: &HuntEntry,
 ) -> Result<CaseEvaluation, ExperimentError> {
-    let records = entry_records(ctx, entry)?;
+    let plan = FaultPlan::generate(entry.fault_seed, &entry.fault);
+    let records = run_entry(ctx, entry, &plan)?;
     let scenario_name = format!(
         "{}-s{}-r{}",
         entry.scenario.name, entry.scenario_seed, entry.replica
     );
-    let plan = FaultPlan::generate(entry.fault_seed, &entry.fault);
-    let fault_flags: Vec<bool> = (0..records.len())
-        .map(|frame| plan.active_at(frame as u64))
-        .collect();
-    let recovery_edges: Vec<usize> = plan
-        .recovery_frames()
-        .into_iter()
-        .filter(|&edge| (edge as usize) < records.len())
-        .map(|edge| edge as usize)
-        .collect();
+    let (fault_flags, recovery_edges) = plan.frame_activity(records.len());
     let goal = entry.scenario.accuracy_goal;
     let scenario_row = ScenarioRow::from_records(
         scenario_name.clone(),

@@ -20,17 +20,13 @@
 //! stress` (or `--smoke stress` for the reduced <= 8-scenario CI sweep,
 //! which also emits the `BENCH_stress.json` timing snapshot).
 
-use crate::workloads::paper_shift_config;
-use crate::{fleet::FleetScalePoint, ExperimentContext, ExperimentError};
-use shift_baselines::{MarlinConfig, OracleObjective};
+use crate::table3::Methodology;
+use crate::workloads::{paper_shift_config, GRID_METHODOLOGIES};
+use crate::{fleet::FleetScalePoint, ExperimentContext, ExperimentError, Method};
 use shift_core::fleet::StreamSpec;
 use shift_metrics::{ScenarioBreakdown, ScenarioRow, Table, FLEET_CSV_HEADER, STREAM_CSV_HEADER};
 use shift_video::{Scenario, ScenarioGenerator, ScenarioLibrary, ScenarioSpec};
 use std::fmt::Write as _;
-
-/// The methodologies the sweep compares on every generated scenario, in row
-/// order: SHIFT, the strongest single-model baseline and the energy oracle.
-pub const METHODS: [&str; 3] = ["SHIFT", "Marlin", "Oracle E"];
 
 /// Sweep and soak sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,29 +70,26 @@ pub fn generated_grid(ctx: &ExperimentContext, replicas: usize) -> Vec<(Scenario
         .collect()
 }
 
-/// Runs one methodology of [`METHODS`] over one generated scenario and
-/// reduces it to its CSV row.
+/// Runs one methodology of [`GRID_METHODOLOGIES`] over one generated
+/// scenario, SHIFT held to the scenario class's accuracy goal, and reduces
+/// it to its CSV row.
 fn run_method(
     ctx: &ExperimentContext,
     spec: &ScenarioSpec,
     scenario: &Scenario,
-    method: &str,
+    methodology: Methodology,
 ) -> Result<ScenarioRow, ExperimentError> {
-    let records = match method {
-        "SHIFT" => {
-            let config = paper_shift_config().with_accuracy_goal(spec.accuracy_goal);
-            ctx.run_shift(scenario, config)?
-        }
-        "Marlin" => ctx.run_marlin(scenario, MarlinConfig::standard())?,
-        "Oracle E" => ctx.run_oracle(scenario, OracleObjective::Energy)?,
-        other => unreachable!("unknown stress method {other}"),
+    let method = match methodology.method() {
+        Method::Shift(config) => Method::Shift(config.with_accuracy_goal(spec.accuracy_goal)),
+        method => method,
     };
+    let records = ctx.run(&method, scenario, None)?;
     Ok(ScenarioRow::from_records(
         scenario.name(),
         spec.name.clone(),
         spec.difficulty.label(),
         spec.environment.to_string(),
-        method,
+        methodology.label(),
         spec.accuracy_goal,
         &records,
     ))
@@ -117,15 +110,15 @@ pub fn sweep(
     options: &StressOptions,
 ) -> Result<ScenarioBreakdown, ExperimentError> {
     let grid = generated_grid(ctx, options.replicas);
-    let cells: Vec<(usize, &str)> = grid
+    let cells: Vec<(usize, Methodology)> = grid
         .iter()
         .enumerate()
-        .flat_map(|(scenario_index, _)| METHODS.map(|method| (scenario_index, method)))
+        .flat_map(|(scenario_index, _)| GRID_METHODOLOGIES.map(|m| (scenario_index, m)))
         .collect();
     let rows =
-        crate::executor::try_run_cells(ctx.jobs(), &cells, |_, &(scenario_index, method)| {
+        crate::executor::try_run_cells(ctx.jobs(), &cells, |_, &(scenario_index, methodology)| {
             let (spec, scenario) = &grid[scenario_index];
-            run_method(ctx, spec, scenario, method)
+            run_method(ctx, spec, scenario, methodology)
         })?;
     let mut breakdown = ScenarioBreakdown::new();
     for row in rows {
@@ -273,7 +266,7 @@ pub fn artifact(
         ScenarioLibrary::standard().len(),
         options.replicas,
         ScenarioLibrary::standard().len() * options.replicas,
-        METHODS.len(),
+        GRID_METHODOLOGIES.len(),
         point.streams,
         point.fleet.frames,
         sweep_wall_s + soak_wall_s,
@@ -307,7 +300,7 @@ mod tests {
         let breakdown = sweep(&ctx, &StressOptions::smoke()).expect("sweep runs");
         assert_eq!(
             breakdown.len(),
-            ScenarioLibrary::standard().len() * METHODS.len()
+            ScenarioLibrary::standard().len() * GRID_METHODOLOGIES.len()
         );
         let (met, total) = breakdown.goal_attainment("SHIFT");
         assert_eq!(
@@ -350,8 +343,8 @@ mod tests {
         let ctx = ExperimentContext::quick(35);
         let artifact = artifact(&ctx, &StressOptions::smoke()).expect("artifact builds");
         let md = artifact.table.to_markdown();
-        for method in METHODS {
-            assert!(md.contains(method), "missing {method}");
+        for methodology in GRID_METHODOLOGIES {
+            assert!(md.contains(methodology.label()), "missing {methodology}");
         }
         assert!(md.contains("fleet-soak"));
         assert!(md.contains("stable-scene"));

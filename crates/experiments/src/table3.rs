@@ -2,9 +2,9 @@
 //! averaged over the six evaluation scenarios.
 
 use crate::workloads::paper_shift_config;
-use crate::{ExperimentContext, ExperimentError};
+use crate::{ExperimentContext, ExperimentError, Method};
 use shift_baselines::{MarlinConfig, OracleObjective};
-use shift_metrics::{FrameRecord, RunSummary, Table};
+use shift_metrics::{RunSummary, Table};
 use shift_video::Scenario;
 
 /// The methodologies compared in Table III, in row order.
@@ -46,6 +46,18 @@ impl Methodology {
             Methodology::OracleLatency => "Oracle L",
         }
     }
+
+    /// The configured [`Method`] this row runs.
+    pub fn method(self) -> Method {
+        match self {
+            Methodology::Marlin => Method::Marlin(MarlinConfig::standard()),
+            Methodology::MarlinTiny => Method::Marlin(MarlinConfig::tiny()),
+            Methodology::Shift => Method::Shift(paper_shift_config()),
+            Methodology::OracleEnergy => Method::Oracle(OracleObjective::Energy),
+            Methodology::OracleAccuracy => Method::Oracle(OracleObjective::Accuracy),
+            Methodology::OracleLatency => Method::Oracle(OracleObjective::Latency),
+        }
+    }
 }
 
 impl std::fmt::Display for Methodology {
@@ -75,22 +87,6 @@ impl Table3Results {
     }
 }
 
-/// Runs one methodology on one scenario.
-pub fn run_methodology(
-    ctx: &ExperimentContext,
-    methodology: Methodology,
-    scenario: &Scenario,
-) -> Result<Vec<FrameRecord>, ExperimentError> {
-    match methodology {
-        Methodology::Marlin => ctx.run_marlin(scenario, MarlinConfig::standard()),
-        Methodology::MarlinTiny => ctx.run_marlin(scenario, MarlinConfig::tiny()),
-        Methodology::Shift => ctx.run_shift(scenario, paper_shift_config()),
-        Methodology::OracleEnergy => ctx.run_oracle(scenario, OracleObjective::Energy),
-        Methodology::OracleAccuracy => ctx.run_oracle(scenario, OracleObjective::Accuracy),
-        Methodology::OracleLatency => ctx.run_oracle(scenario, OracleObjective::Latency),
-    }
-}
-
 /// Runs every methodology over every evaluation scenario. The whole
 /// `(methodology, scenario)` grid runs as cells on the deterministic parallel
 /// executor (`ctx.jobs()` workers); each run owns an independent engine, and
@@ -108,12 +104,13 @@ pub fn compute(ctx: &ExperimentContext) -> Result<Table3Results, ExperimentError
         .collect();
     let summaries =
         crate::executor::try_run_cells(ctx.jobs(), &cells, |_, &(methodology, scenario)| {
-            run_methodology(ctx, methodology, scenario).map(|records| {
-                RunSummary::from_records(
-                    format!("{} / {}", methodology.label(), scenario.name()),
-                    &records,
-                )
-            })
+            ctx.run(&methodology.method(), scenario, None)
+                .map(|records| {
+                    RunSummary::from_records(
+                        format!("{} / {}", methodology.label(), scenario.name()),
+                        &records,
+                    )
+                })
         })?;
     let mut per_scenario = Vec::new();
     for (chunk, &methodology) in summaries

@@ -1,6 +1,7 @@
 //! Workload definitions shared by the experiments: which scenarios feed which
 //! artifact, and the standard parameter sets.
 
+use crate::table3::Methodology;
 use crate::ExperimentContext;
 use shift_core::{Knobs, ShiftConfig};
 use shift_models::ModelId;
@@ -19,6 +20,15 @@ pub fn paper_shift_config() -> ShiftConfig {
 
 /// The single-model reference pair of the headline claims: YoloV7 on the GPU.
 pub const REFERENCE_SINGLE_MODEL: (ModelId, AcceleratorId) = (ModelId::YoloV7, AcceleratorId::Gpu);
+
+/// The methodologies the stress and chaos grids compare on every cell, in
+/// row order: SHIFT, the strongest single-model baseline and the energy
+/// oracle.
+pub const GRID_METHODOLOGIES: [Methodology; 3] = [
+    Methodology::Shift,
+    Methodology::Marlin,
+    Methodology::OracleEnergy,
+];
 
 /// The models plotted in Fig. 2 (per-model efficiency timelines). Restricted
 /// to GPU-executable models, like the figure's "Single model object detection

@@ -18,7 +18,8 @@
 //! workload class. For fault-injected (chaos) runs, [`ResilienceRow`] and
 //! [`ResilienceBreakdown`] split every metric by fault activity — goal
 //! attainment inside vs outside fault windows, degraded-frame fraction and
-//! recovery latency in frames. For the adversarial scenario hunt
+//! recovery latency in frames — from the per-frame fault flags and recovery
+//! edges of `shift_soc::FaultPlan::frame_activity`. For the adversarial scenario hunt
 //! (`repro -- hunt`), [`HuntRow`] and [`HuntReport`] reduce every minimized
 //! finding to a stable findings-CSV row. For fleet-service (serving) runs,
 //! [`SessionRow`] and [`SessionReport`] reduce every session lifecycle —
@@ -53,7 +54,6 @@ pub mod stats;
 pub mod summary;
 pub mod timeline;
 pub mod timing;
-pub mod trace;
 
 pub use breakdown::{BreakdownAggregate, ScenarioBreakdown, ScenarioRow, SCENARIO_CSV_HEADER};
 pub use cluster::{cluster_capacity_to_csv, ClusterCapacityRow, CLUSTER_CSV_HEADER};
@@ -76,6 +76,3 @@ pub use stats::{mean, pearson_correlation, percentile, std_dev};
 pub use summary::RunSummary;
 pub use timeline::Timeline;
 pub use timing::{TimingRow, TIMING_CSV_HEADER};
-pub use trace::{
-    des_trace_to_csv, frame_timelines, DesEventRow, FrameTimeline, DES_TRACE_CSV_HEADER,
-};

@@ -480,6 +480,22 @@ impl FaultPlan {
         edges
     }
 
+    /// Fault activity over a run of `frames` frames: whether a fault is
+    /// active on each frame, and the recovery edges that fall inside the
+    /// run. The resilience metrics split a run's records by these.
+    pub fn frame_activity(&self, frames: usize) -> (Vec<bool>, Vec<usize>) {
+        let active = (0..frames)
+            .map(|frame| self.active_at(frame as u64))
+            .collect();
+        let recoveries = self
+            .recovery_frames()
+            .into_iter()
+            .filter(|&edge| (edge as usize) < frames)
+            .map(|edge| edge as usize)
+            .collect();
+        (active, recoveries)
+    }
+
     /// The sorted, de-duplicated union of every fault *and* recovery edge —
     /// the frames on which the platform state changes at all. A
     /// discrete-event driver schedules exactly one injector advance per
@@ -835,6 +851,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn frame_activity_flags_windows_and_clips_recoveries_to_the_run() {
+        let plan = FaultPlan::from_windows(
+            100,
+            vec![
+                FaultWindow {
+                    kind: FaultKind::Dropout(AcceleratorId::Gpu),
+                    start_frame: 2,
+                    end_frame: 4,
+                },
+                FaultWindow {
+                    kind: FaultKind::TelemetryGlitch,
+                    start_frame: 5,
+                    end_frame: 9,
+                },
+            ],
+        );
+        let (active, recoveries) = plan.frame_activity(6);
+        assert_eq!(active, [false, false, true, true, false, true]);
+        assert_eq!(recoveries, [4], "the edge at frame 9 lies past the run");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use shift_baselines::{MarlinConfig, OracleObjective};
 use shift_experiments::workloads::paper_shift_config;
-use shift_experiments::ExperimentContext;
+use shift_experiments::{ExperimentContext, Method};
 use shift_metrics::{RunSummary, Table};
 use shift_models::ModelId;
 use shift_soc::AcceleratorId;
@@ -29,19 +29,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut summaries = Vec::new();
 
     // The conventional deployment: the strongest model, pinned to the GPU.
-    let single = ctx.run_single(&scenario, ModelId::YoloV7, AcceleratorId::Gpu)?;
+    let single = ctx.run(
+        &Method::Single(ModelId::YoloV7, AcceleratorId::Gpu),
+        &scenario,
+        None,
+    )?;
     summaries.push(RunSummary::from_records("YoloV7 on GPU", &single));
 
     // Marlin: DNN + tracker alternation, still GPU-only.
-    let marlin = ctx.run_marlin(&scenario, MarlinConfig::standard())?;
+    let marlin = ctx.run(&Method::Marlin(MarlinConfig::standard()), &scenario, None)?;
     summaries.push(RunSummary::from_records("Marlin", &marlin));
 
     // SHIFT: context-aware multi-model, multi-accelerator scheduling.
-    let shift = ctx.run_shift(&scenario, paper_shift_config())?;
+    let shift = ctx.run(&Method::Shift(paper_shift_config()), &scenario, None)?;
     summaries.push(RunSummary::from_records("SHIFT", &shift));
 
     // The accuracy Oracle: the paper's performance ceiling.
-    let oracle = ctx.run_oracle(&scenario, OracleObjective::Accuracy)?;
+    let oracle = ctx.run(&Method::Oracle(OracleObjective::Accuracy), &scenario, None)?;
     summaries.push(RunSummary::from_records("Oracle A", &oracle));
 
     let table = Table::from_summaries("Drone pursuit (scenario 5)", &summaries);

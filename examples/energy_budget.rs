@@ -7,7 +7,7 @@
 //! ```
 
 use shift_core::{Knobs, ShiftConfig};
-use shift_experiments::ExperimentContext;
+use shift_experiments::{ExperimentContext, Method};
 use shift_metrics::{RunSummary, Table};
 use shift_video::Scenario;
 
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut summaries = Vec::new();
     for (label, knobs) in presets {
         let config = ShiftConfig::paper_defaults().with_knobs(knobs);
-        let records = ctx.run_shift(&scenario, config)?;
+        let records = ctx.run(&Method::Shift(config), &scenario, None)?;
         summaries.push(RunSummary::from_records(label, &records));
     }
 

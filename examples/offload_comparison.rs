@@ -7,9 +7,9 @@
 //! cargo run --release -p shift-experiments --example offload_comparison
 //! ```
 
-use shift_baselines::{OffloadConfig, OffloadRuntime};
+use shift_baselines::{Baseline, OffloadConfig, OffloadRuntime};
 use shift_experiments::workloads::paper_shift_config;
-use shift_experiments::ExperimentContext;
+use shift_experiments::{ExperimentContext, Method};
 use shift_metrics::{accuracy_energy_frontier, RunSummary, Table};
 use shift_video::Scenario;
 
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut summaries = Vec::new();
 
-    let shift_records = ctx.run_shift(&scenario, paper_shift_config())?;
+    let shift_records = ctx.run(&Method::Shift(paper_shift_config()), &scenario, None)?;
     summaries.push(RunSummary::from_records("SHIFT (on-board)", &shift_records));
 
     let links: [(&str, OffloadConfig); 3] = [
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     for (label, config) in links {
         let mut runtime = OffloadRuntime::new(ctx.engine(), config)?;
-        let records = runtime.run(scenario.stream())?;
+        let records = runtime.run(scenario.stream(), None)?;
         let stats = runtime.stats();
         println!(
             "{label}: {} frames offloaded, {} fallback, {} tracked, {} blind",

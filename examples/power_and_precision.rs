@@ -6,9 +6,8 @@
 //! cargo run --release -p shift-experiments --example power_and_precision
 //! ```
 
-use shift_baselines::SingleModelRuntime;
 use shift_experiments::workloads::{paper_shift_config, REFERENCE_SINGLE_MODEL};
-use shift_experiments::ExperimentContext;
+use shift_experiments::{ExperimentContext, Method};
 use shift_metrics::{run_efficiency, RunSummary, Table};
 use shift_models::{ModelZoo, Precision, ResponseModel};
 use shift_soc::{ExecutionEngine, PowerMode};
@@ -18,13 +17,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ctx = ExperimentContext::quick(55);
     let scenario = ctx.scaled(Scenario::scenario_2());
     let (model, accelerator) = REFERENCE_SINGLE_MODEL;
+    let single = Method::Single(model, accelerator);
     let mut summaries = Vec::new();
 
     // Lever 1: DVFS power modes with the stock FP32 model.
     for mode in PowerMode::ALL {
         let engine = ctx.engine().with_power_mode(mode);
-        let mut runtime = SingleModelRuntime::new(engine, model, accelerator)?;
-        let records = runtime.run(scenario.stream())?;
+        let records = ctx.run_on(engine, &single, &scenario, None)?;
         summaries.push(RunSummary::from_records(
             format!("{model} FP32 @{mode}"),
             &records,
@@ -36,8 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let zoo = ModelZoo::standard().with_precision(precision);
         let engine =
             ExecutionEngine::new(ctx.platform().clone(), zoo, ResponseModel::new(ctx.seed()));
-        let mut runtime = SingleModelRuntime::new(engine, model, accelerator)?;
-        let records = runtime.run(scenario.stream())?;
+        let records = ctx.run_on(engine, &single, &scenario, None)?;
         summaries.push(RunSummary::from_records(
             format!("{model} {precision} @15W"),
             &records,
@@ -45,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // SHIFT with neither lever: multi-model scheduling alone.
-    let shift_records = ctx.run_shift(&scenario, paper_shift_config())?;
+    let shift_records = ctx.run(&Method::Shift(paper_shift_config()), &scenario, None)?;
     summaries.push(RunSummary::from_records(
         "SHIFT FP32 @15W (multi-model)",
         &shift_records,

@@ -4,7 +4,7 @@
 
 use shift_baselines::{MarlinConfig, OracleObjective};
 use shift_experiments::workloads::paper_shift_config;
-use shift_experiments::ExperimentContext;
+use shift_experiments::{ExperimentContext, Method};
 use shift_metrics::RunSummary;
 use shift_models::ModelId;
 use shift_soc::AcceleratorId;
@@ -41,32 +41,36 @@ fn runs() -> &'static BaselineRuns {
             };
             shift.push(summarize(
                 "SHIFT",
-                &ctx.run_shift(&scenario, paper_shift_config())
+                &ctx.run(&Method::Shift(paper_shift_config()), &scenario, None)
                     .expect("shift runs"),
             ));
             marlin.push(summarize(
                 "Marlin",
-                &ctx.run_marlin(&scenario, MarlinConfig::standard())
+                &ctx.run(&Method::Marlin(MarlinConfig::standard()), &scenario, None)
                     .expect("marlin runs"),
             ));
             single.push(summarize(
                 "YoloV7 GPU",
-                &ctx.run_single(&scenario, ModelId::YoloV7, AcceleratorId::Gpu)
-                    .expect("single runs"),
+                &ctx.run(
+                    &Method::Single(ModelId::YoloV7, AcceleratorId::Gpu),
+                    &scenario,
+                    None,
+                )
+                .expect("single runs"),
             ));
             oracle_e.push(summarize(
                 "Oracle E",
-                &ctx.run_oracle(&scenario, OracleObjective::Energy)
+                &ctx.run(&Method::Oracle(OracleObjective::Energy), &scenario, None)
                     .expect("oracle runs"),
             ));
             oracle_a.push(summarize(
                 "Oracle A",
-                &ctx.run_oracle(&scenario, OracleObjective::Accuracy)
+                &ctx.run(&Method::Oracle(OracleObjective::Accuracy), &scenario, None)
                     .expect("oracle runs"),
             ));
             oracle_l.push(summarize(
                 "Oracle L",
-                &ctx.run_oracle(&scenario, OracleObjective::Latency)
+                &ctx.run(&Method::Oracle(OracleObjective::Latency), &scenario, None)
                     .expect("oracle runs"),
             ));
         }
@@ -138,13 +142,17 @@ fn marlin_tracks_between_detections_and_saves_energy_on_easy_scenes() {
     let scenario = ctx.scaled(Scenario::scenario_3());
     let marlin = RunSummary::from_records(
         "Marlin",
-        &ctx.run_marlin(&scenario, MarlinConfig::standard())
+        &ctx.run(&Method::Marlin(MarlinConfig::standard()), &scenario, None)
             .expect("marlin runs"),
     );
     let single = RunSummary::from_records(
         "YoloV7 GPU",
-        &ctx.run_single(&scenario, ModelId::YoloV7, AcceleratorId::Gpu)
-            .expect("single runs"),
+        &ctx.run(
+            &Method::Single(ModelId::YoloV7, AcceleratorId::Gpu),
+            &scenario,
+            None,
+        )
+        .expect("single runs"),
     );
     assert!(
         marlin.mean_energy_j < single.mean_energy_j,

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use shift_baselines::{MarlinConfig, OracleObjective};
 use shift_core::fleet::{FleetConfig, FleetRuntime, StreamSpec};
 use shift_core::{characterize, ExecutionMode, ShiftConfig, ShiftRuntime};
-use shift_experiments::workloads::paper_shift_config;
-use shift_experiments::ExperimentContext;
+use shift_experiments::workloads::{paper_shift_config, GRID_METHODOLOGIES};
+use shift_experiments::{ExperimentContext, Method};
 use shift_metrics::{FLEET_CSV_HEADER, STREAM_CSV_HEADER};
 use shift_models::{ModelZoo, ResponseModel};
 use shift_soc::{ExecutionEngine, Platform};
@@ -43,23 +43,27 @@ fn identical_contexts_produce_identical_baseline_runs() {
     let scenario_b = ctx_b.scaled(Scenario::scenario_2());
     assert_eq!(
         ctx_a
-            .run_marlin(&scenario_a, MarlinConfig::standard())
+            .run(&Method::Marlin(MarlinConfig::standard()), &scenario_a, None)
             .unwrap(),
         ctx_b
-            .run_marlin(&scenario_b, MarlinConfig::standard())
+            .run(&Method::Marlin(MarlinConfig::standard()), &scenario_b, None)
             .unwrap()
     );
     assert_eq!(
         ctx_a
-            .run_oracle(&scenario_a, OracleObjective::Energy)
+            .run(&Method::Oracle(OracleObjective::Energy), &scenario_a, None)
             .unwrap(),
         ctx_b
-            .run_oracle(&scenario_b, OracleObjective::Energy)
+            .run(&Method::Oracle(OracleObjective::Energy), &scenario_b, None)
             .unwrap()
     );
     assert_eq!(
-        ctx_a.run_shift(&scenario_a, paper_shift_config()).unwrap(),
-        ctx_b.run_shift(&scenario_b, paper_shift_config()).unwrap()
+        ctx_a
+            .run(&Method::Shift(paper_shift_config()), &scenario_a, None)
+            .unwrap(),
+        ctx_b
+            .run(&Method::Shift(paper_shift_config()), &scenario_b, None)
+            .unwrap()
     );
 }
 
@@ -237,7 +241,7 @@ fn golden_stress_summary_csv_is_byte_identical_across_runs() {
         "sweep block leads the summary"
     );
     let classes = shift_video::ScenarioLibrary::standard().len();
-    let methods = stress::METHODS.len();
+    let methods = GRID_METHODOLOGIES.len();
     let streams = StressOptions::smoke().soak_streams;
     // One line per (scenario, method) + soak stream rows + fleet row + the
     // three headers.
@@ -280,7 +284,7 @@ fn golden_chaos_resilience_csv_is_byte_identical_across_runs_and_jobs() {
     // One line per (plan, scenario, method) cell plus the header.
     assert_eq!(
         sequential.lines().count(),
-        options.plans * options.scenarios * chaos::METHODS.len() + 1,
+        options.plans * options.scenarios * GRID_METHODOLOGIES.len() + 1,
         "unexpected chaos summary shape"
     );
     // The healthy control rows record no fault exposure.

@@ -3,12 +3,11 @@
 //! predictors, the extra baselines and the metrics exporters.
 
 use shift_baselines::{
-    AdaVpConfig, AdaVpRuntime, FrameHopperConfig, FrameHopperRuntime, OffloadConfig,
-    OffloadRuntime, SingleModelRuntime,
+    AdaVpConfig, Baseline, FrameHopperConfig, OffloadConfig, SingleModelRuntime,
 };
 use shift_core::{prediction_mae, ConfidenceGraph, PassthroughPredictor, RegressionPredictor};
 use shift_experiments::workloads::paper_shift_config;
-use shift_experiments::ExperimentContext;
+use shift_experiments::{ExperimentContext, Method};
 use shift_metrics::{
     accuracy_energy_frontier, average_success, records_to_csv, records_to_json, success_curve,
     summaries_to_csv, RunSummary,
@@ -33,7 +32,7 @@ fn quantized_runs_are_deterministic_and_cheaper() {
         let mut runtime =
             SingleModelRuntime::new(engine_with(zoo, 3), ModelId::YoloV7, AcceleratorId::Gpu)
                 .unwrap();
-        runtime.run(scenario.clone().stream()).unwrap()
+        runtime.run(scenario.clone().stream(), None).unwrap()
     };
     let fp32_a = run(Precision::Fp32);
     let fp32_b = run(Precision::Fp32);
@@ -59,7 +58,7 @@ fn power_modes_preserve_accuracy_and_shift_the_cost() {
             SingleModelRuntime::new(engine, ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
         RunSummary::from_records(
             format!("{mode}"),
-            &runtime.run(scenario.clone().stream()).unwrap(),
+            &runtime.run(scenario.clone().stream(), None).unwrap(),
         )
     };
     let low = run(PowerMode::Mode10W);
@@ -98,13 +97,13 @@ fn all_baselines_produce_complete_comparable_records() {
     let scenario = ctx.scaled(Scenario::scenario_4());
     let frames = scenario.num_frames();
 
-    let shift = ctx.run_shift(&scenario, paper_shift_config()).unwrap();
-    let mut offload = OffloadRuntime::new(ctx.engine(), OffloadConfig::cellular()).unwrap();
-    let offload_records = offload.run(scenario.stream()).unwrap();
-    let mut adavp = AdaVpRuntime::new(ctx.engine(), AdaVpConfig::standard()).unwrap();
-    let adavp_records = adavp.run(scenario.stream()).unwrap();
-    let mut hopper = FrameHopperRuntime::new(ctx.engine(), FrameHopperConfig::standard()).unwrap();
-    let hopper_records = hopper.run(scenario.stream()).unwrap();
+    let shift = ctx
+        .run(&Method::Shift(paper_shift_config()), &scenario, None)
+        .unwrap();
+    let run = |method: Method| ctx.run(&method, &scenario, None).unwrap();
+    let offload_records = run(Method::Offload(OffloadConfig::cellular()));
+    let adavp_records = run(Method::AdaVp(AdaVpConfig::standard()));
+    let hopper_records = run(Method::FrameHopper(FrameHopperConfig::standard()));
 
     for (label, records) in [
         ("shift", &shift),
@@ -152,7 +151,9 @@ fn all_baselines_produce_complete_comparable_records() {
 fn exporters_round_trip_row_counts_and_labels() {
     let ctx = ExperimentContext::quick(71);
     let scenario = ctx.scaled(Scenario::scenario_6());
-    let records = ctx.run_shift(&scenario, paper_shift_config()).unwrap();
+    let records = ctx
+        .run(&Method::Shift(paper_shift_config()), &scenario, None)
+        .unwrap();
 
     let csv = records_to_csv(&records);
     assert_eq!(csv.lines().count(), records.len() + 1);
@@ -169,7 +170,9 @@ fn exporters_round_trip_row_counts_and_labels() {
 fn success_curves_are_consistent_with_the_fixed_threshold_metric() {
     let ctx = ExperimentContext::quick(73);
     let scenario = ctx.scaled(Scenario::scenario_5());
-    let records = ctx.run_shift(&scenario, paper_shift_config()).unwrap();
+    let records = ctx
+        .run(&Method::Shift(paper_shift_config()), &scenario, None)
+        .unwrap();
     let summary = RunSummary::from_records("SHIFT", &records);
 
     let curve = success_curve(&records, &[0.5]);

@@ -3,11 +3,11 @@
 //! gracefully (when a policy exists) or surface a precise error (when the
 //! failure removes the only viable resource).
 
-use shift_baselines::{OffloadConfig, OffloadRuntime, SingleModelRuntime};
+use shift_baselines::{Baseline, OffloadConfig, OffloadRuntime, SingleModelRuntime};
 use shift_core::fleet::{FleetConfig, FleetRuntime, StreamHandle, StreamSpec};
 use shift_core::{Knobs, ShiftConfig, ShiftRuntime};
 use shift_experiments::workloads::paper_shift_config;
-use shift_experiments::ExperimentContext;
+use shift_experiments::{ExperimentContext, Method};
 use shift_models::{ModelId, ModelZoo, ResponseModel};
 use shift_soc::{
     AcceleratorId, ExecutionEngine, FaultKind, FaultPlan, FaultSpec, FaultWindow, NetworkLink,
@@ -34,7 +34,9 @@ fn shift_completes_when_restricted_to_non_gpu_accelerators() {
         AcceleratorId::Dla1,
         AcceleratorId::OakD,
     ]);
-    let records = ctx.run_shift(&scenario, config).expect("run completes");
+    let records = ctx
+        .run(&Method::Shift(config), &scenario, None)
+        .expect("run completes");
     assert_eq!(records.len(), scenario.num_frames());
     assert!(records.iter().all(|r| r.accelerator != AcceleratorId::Gpu));
     let mean_iou = records.iter().map(|r| r.iou).sum::<f64>() / records.len() as f64;
@@ -126,7 +128,7 @@ fn offload_survives_a_complete_outage_window() {
     };
     let mut runtime = OffloadRuntime::new(base_engine(13), config).unwrap();
     let records = runtime
-        .run(Scenario::scenario_3().with_num_frames(250).stream())
+        .run(Scenario::scenario_3().with_num_frames(250).stream(), None)
         .unwrap();
     assert_eq!(records.len(), 250);
     let stats = runtime.stats();

@@ -4,6 +4,7 @@
 
 use shift_core::{characterize, ShiftConfig, ShiftRuntime};
 use shift_experiments::stress::{self, StressOptions};
+use shift_experiments::workloads::GRID_METHODOLOGIES;
 use shift_experiments::ExperimentContext;
 use shift_models::{ModelZoo, ResponseModel};
 use shift_soc::{ExecutionEngine, Platform};
@@ -117,10 +118,13 @@ fn stress_sweep_meets_every_accuracy_goal_across_the_grid() {
     let (met, total) = breakdown.goal_attainment("SHIFT");
     assert!(total > 0);
     assert_eq!(met, total, "every SHIFT run must meet its accuracy goal");
-    for method in stress::METHODS {
+    for methodology in GRID_METHODOLOGIES {
         assert!(
-            breakdown.rows().iter().any(|r| r.method == method),
-            "missing method {method}"
+            breakdown
+                .rows()
+                .iter()
+                .any(|r| r.method == methodology.label()),
+            "missing method {methodology}"
         );
     }
     let classes: std::collections::BTreeSet<_> =

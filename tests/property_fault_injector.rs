@@ -12,12 +12,20 @@
 //! 4. a plan with zero faults reproduces the healthy-run fleet outcomes
 //!    bit-for-bit, and replaying any plan to its horizon leaves the engine
 //!    exactly as it started.
+//!
+//! The baselines replay plans through `Baseline::run`; the last tests check
+//! that a zero-fault plan changes none of their records and that an outage
+//! of a pinned accelerator shows up as blind frames inside its window only.
 
 use proptest::prelude::*;
+use shift_baselines::{Baseline, MarlinConfig, MarlinRuntime, OracleObjective, OracleRuntime};
 use shift_core::fleet::{FleetConfig, FleetRuntime, StreamHandle, StreamSpec};
 use shift_core::{characterize, Characterization, ShiftConfig, ShiftRuntime};
 use shift_models::{ModelZoo, ResponseModel};
-use shift_soc::{AcceleratorId, ExecutionEngine, FaultInjector, FaultPlan, FaultSpec, Platform};
+use shift_soc::{
+    AcceleratorId, ExecutionEngine, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultWindow,
+    Platform, SocError,
+};
 use shift_video::{CharacterizationDataset, Scenario};
 use std::sync::OnceLock;
 
@@ -252,4 +260,105 @@ fn faulted_fleet_runs_are_deterministic() {
         (outcomes, counters)
     };
     assert_eq!(run(), run());
+}
+
+/// The baseline analogue of the zero-fault property: replaying a zero-fault
+/// plan through `Baseline::run` leaves every Marlin and Oracle E record
+/// bit-identical to a run without a plan.
+#[test]
+fn zero_fault_plan_reproduces_healthy_baseline_records() {
+    let scenario = Scenario::scenario_1().with_num_frames(60);
+    let plan = FaultPlan::generate(11, &FaultSpec::none(60));
+    assert!(plan.is_empty());
+    let marlin = |faults: Option<&FaultPlan>| {
+        MarlinRuntime::new(engine(6), MarlinConfig::standard())
+            .expect("marlin loads")
+            .run(scenario.stream(), faults)
+            .expect("run completes")
+    };
+    let oracle = |faults: Option<&FaultPlan>| {
+        OracleRuntime::new(
+            engine(6),
+            OracleObjective::Energy,
+            &[
+                AcceleratorId::Gpu,
+                AcceleratorId::Dla0,
+                AcceleratorId::Dla1,
+                AcceleratorId::OakD,
+            ],
+        )
+        .expect("oracle builds")
+        .run(scenario.stream(), faults)
+        .expect("run completes")
+    };
+    for (name, healthy, faulted) in [
+        ("Marlin", marlin(None), marlin(Some(&plan))),
+        ("Oracle E", oracle(None), oracle(Some(&plan))),
+    ] {
+        assert_eq!(healthy.len(), 60);
+        assert_eq!(
+            format!("{healthy:?}"),
+            format!("{faulted:?}"),
+            "{name}: a zero-fault plan must not change a single record"
+        );
+    }
+}
+
+/// A dropout of Marlin's pinned accelerator blinds exactly the frames inside
+/// the window (IoU 0, no latency, no energy) and leaves the frames outside it
+/// normal. Without a plan, the same outage is an error, not a blind frame.
+#[test]
+fn dropout_blinds_marlin_inside_the_window_only() {
+    let config = MarlinConfig::standard();
+    let window = 10..20u64;
+    let plan = FaultPlan::from_windows(
+        40,
+        vec![FaultWindow {
+            kind: FaultKind::Dropout(config.accelerator),
+            start_frame: window.start,
+            end_frame: window.end,
+        }],
+    );
+    let scenario = Scenario::scenario_3().with_num_frames(40);
+    let records = MarlinRuntime::new(engine(7), config)
+        .expect("marlin loads")
+        .run(scenario.stream(), Some(&plan))
+        .expect("blind frames are recorded, not raised");
+    let healthy = MarlinRuntime::new(engine(7), config)
+        .expect("marlin loads")
+        .run(scenario.stream(), None)
+        .expect("healthy run completes");
+    assert_eq!(records.len(), 40, "every frame gets a record");
+    for record in &records {
+        assert_eq!(
+            (record.model, record.accelerator),
+            (config.model, config.accelerator)
+        );
+        if window.contains(&(record.frame_index as u64)) {
+            assert_eq!(record.iou, 0.0, "frame {} sees nothing", record.frame_index);
+            assert_eq!(record.latency_s, 0.0);
+            assert_eq!(record.energy_j, 0.0);
+        } else {
+            assert!(record.latency_s > 0.0, "frame {} runs", record.frame_index);
+            assert!(record.energy_j > 0.0);
+        }
+    }
+    assert_eq!(
+        records[..window.start as usize],
+        healthy[..window.start as usize],
+        "frames before the outage are untouched"
+    );
+    assert!(
+        records[window.end as usize..].iter().any(|r| r.iou > 0.0),
+        "Marlin detects again after the recovery edge"
+    );
+
+    let mut runtime = MarlinRuntime::new(engine(7), config).expect("marlin loads");
+    runtime
+        .engine_mut()
+        .set_accelerator_online(config.accelerator, false);
+    assert!(matches!(
+        runtime.run(scenario.stream(), None),
+        Err(SocError::AcceleratorOffline(_))
+    ));
 }
